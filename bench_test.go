@@ -11,6 +11,7 @@ package cod
 
 import (
 	"context"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -218,13 +219,22 @@ func loadBenchGraph(b *testing.B, name string) *graph.Graph {
 	return ds.G
 }
 
+// benchPool samples a θ·n IC pool from rng into a fresh arena.
+func benchPool(g *graph.Graph, model influence.Model, theta int, rng *rand.Rand) []*influence.RRGraph {
+	rrs, _ := influence.BatchIntoCtx(context.Background(), influence.NewSampler(g, model, rng), theta*g.N(), influence.NewArena())
+	return rrs
+}
+
 func BenchmarkRRGraphGeneration(b *testing.B) {
 	g := loadBenchGraph(b, "cora")
 	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(1))
+	a := influence.NewArena()
 	b.ResetTimer()
 	nodes := 0
 	for i := 0; i < b.N; i++ {
-		nodes += s.RRGraph().Len()
+		a.Reset()
+		s.RRGraphInto(a)
+		nodes += a.Finalize()[0].Len()
 	}
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/rr")
 }
@@ -260,8 +270,7 @@ func BenchmarkCompressedEvaluate(b *testing.B) {
 		b.Fatal(err)
 	}
 	ch := core.ChainFromTree(t, 100)
-	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(3))
-	rrs := s.Batch(5 * g.N())
+	rrs := benchPool(g, influence.NewWeightedCascade(g), 5, graph.NewRand(3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.CompressedEvaluate(ch, rrs, 5)
@@ -277,13 +286,13 @@ func BenchmarkHimorBuild(b *testing.B) {
 	model := influence.NewWeightedCascade(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.BuildHimor(g, t, model, 5, graph.NewRand(uint64(i)))
+		core.BuildHimor(context.Background(), g, t, benchPool(g, model, 5, graph.NewRand(uint64(i))), 5)
 	}
 }
 
 func BenchmarkCODLQuery(b *testing.B) {
 	g := loadBenchGraph(b, "cora")
-	codl, err := engine.NewCODL(g, engine.Params{K: 5, Theta: 5, Seed: 4})
+	eng, err := engine.Build(context.Background(), g, engine.Params{K: 5, Theta: 5, Seed: 4}, engine.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -291,7 +300,8 @@ func BenchmarkCODLQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
-		if _, err := codl.Query(q.Node, q.Attr, graph.NewRand(uint64(i))); err != nil {
+		pl := eng.Compile(engine.VariantCODL, q.Node, q.Attr)
+		if _, err := eng.Execute(context.Background(), pl, graph.NewRand(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -420,7 +430,7 @@ func BenchmarkAblationBalance(b *testing.B) {
 					b.Fatal(err)
 				}
 				start := time.Now()
-				idx := core.BuildHimor(g, t, model, 2, graph.NewRand(7))
+				idx := core.BuildHimor(context.Background(), g, t, benchPool(g, model, 2, graph.NewRand(7)), 2)
 				b.ReportMetric(float64(time.Since(start).Milliseconds()), "himor-ms")
 				b.ReportMetric(float64(t.SumLeafDepths())/float64(g.N()), "avg-depth")
 				b.ReportMetric(float64(idx.ApproxBytes())/(1<<20), "index-MB")
@@ -528,30 +538,4 @@ func BenchmarkDiscoverBatch(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAdaptiveSampling compares fixed-Θ compressed evaluation with the
-// stability-driven adaptive variant.
-func BenchmarkAdaptiveSampling(b *testing.B) {
-	gds := loadBenchGraph(b, "cora")
-	tr, err := hac.Cluster(gds, hac.UnweightedAverage)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ch := core.ChainFromTree(tr, 100)
-	model := influence.NewWeightedCascade(gds)
-	b.Run("fixed", func(b *testing.B) {
-		s := influence.NewSampler(gds, model, graph.NewRand(1))
-		for i := 0; i < b.N; i++ {
-			pool := s.Batch(5 * gds.N())
-			core.CompressedEvaluate(ch, pool, 5)
-		}
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		s := influence.NewSampler(gds, model, graph.NewRand(1))
-		for i := 0; i < b.N; i++ {
-			res := core.CompressedEvaluateAdaptive(ch, s, 5, gds.N()/2, 5*gds.N())
-			b.ReportMetric(float64(res.Samples), "samples")
-		}
-	})
 }

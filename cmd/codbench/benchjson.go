@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -152,12 +153,49 @@ func minByName(runs []BenchRun, unit string) map[string]float64 {
 	return out
 }
 
-// compareBenchReports diffs newPath against the baseline at oldPath on
-// ns/op and allocs/op, aggregating -count runs by minimum, and fails with
-// an error when any shared benchmark regressed by more than threshold
-// (0.25 = +25%) above the noise floor. Benchmarks present in only one
-// report are printed as notes, not failures — the suite is allowed to grow
-// and shrink across PRs; only shared names gate.
+// timingUnit reports whether a metric unit is timing-derived, and so noisy
+// across runs: ns/op, B/op, allocs/op, the per-method microsecond units
+// ("-us" suffix), and the speedup and CODR/CODL ratios. Every other unit a
+// benchmark reports is a deterministic quality metric of the reproduced
+// science (CODL-5th, CODL-rho, precision, ...), gated exactly.
+func timingUnit(unit string) bool {
+	switch unit {
+	case "ns/op", "B/op", "allocs/op", "speedup", "CODR/CODL":
+		return true
+	}
+	return strings.HasSuffix(unit, "-us")
+}
+
+// qualityValues collects, per benchmark name and quality (non-timing) unit,
+// the sorted distinct values across the report's runs.
+func qualityValues(runs []BenchRun) map[[2]string][]float64 {
+	out := make(map[[2]string][]float64)
+	for _, r := range runs {
+		for unit, v := range r.Metrics {
+			if timingUnit(unit) {
+				continue
+			}
+			key := [2]string{r.Name, unit}
+			if !slices.Contains(out[key], v) {
+				out[key] = append(out[key], v)
+			}
+		}
+	}
+	for _, vs := range out {
+		slices.Sort(vs)
+	}
+	return out
+}
+
+// compareBenchReports diffs newPath against the baseline at oldPath and
+// fails with an error when a shared benchmark regressed. ns/op and
+// allocs/op aggregate -count runs by minimum and regress when more than
+// threshold (0.25 = +25%) above the baseline and its noise floor. Every
+// quality unit (see timingUnit) of a shared benchmark must match the
+// baseline exactly: the same distinct values across runs, and present in
+// the new report whenever the baseline has it. Benchmarks present in only
+// one report are printed as notes, not failures — the suite is allowed to
+// grow and shrink across PRs; only shared names gate.
 func compareBenchReports(w io.Writer, oldPath, newPath string, threshold float64) error {
 	oldRep, err := readBenchReport(oldPath)
 	if err != nil {
@@ -198,6 +236,21 @@ func compareBenchReports(w io.Writer, oldPath, newPath string, threshold float64
 			deltas = append(deltas, d)
 		}
 	}
+	oldQ, newQ := qualityValues(oldRep.Benchmarks), qualityValues(newRep.Benchmarks)
+	var quality []string
+	for key, ov := range oldQ {
+		if !seenShared[key[0]] {
+			continue
+		}
+		nv := newQ[key]
+		if slices.Equal(ov, nv) {
+			quality = append(quality, fmt.Sprintf("  %-56s %-9s %v  exact", key[0], key[1], ov))
+			continue
+		}
+		regressed++
+		quality = append(quality, fmt.Sprintf("  %-56s %-9s %v -> %v  CHANGED", key[0], key[1], ov, nv))
+	}
+	sort.Strings(quality)
 	for name := range minByName(oldRep.Benchmarks, "ns/op") {
 		if _, ok := minByName(newRep.Benchmarks, "ns/op")[name]; !ok {
 			onlyOld = append(onlyOld, name)
@@ -226,6 +279,9 @@ func compareBenchReports(w io.Writer, oldPath, newPath string, threshold float64
 		fmt.Fprintf(w, "  %-56s %-9s %14.0f -> %14.0f  %+7.1f%%%s\n",
 			d.name, d.unit, d.oldV, d.newV, d.change*100, mark)
 	}
+	for _, line := range quality {
+		fmt.Fprintln(w, line)
+	}
 	for _, name := range onlyOld {
 		fmt.Fprintf(w, "  note: %s only in baseline %s\n", name, oldPath)
 	}
@@ -236,7 +292,7 @@ func compareBenchReports(w io.Writer, oldPath, newPath string, threshold float64
 		return fmt.Errorf("no shared benchmarks between %s and %s", oldPath, newPath)
 	}
 	if regressed > 0 {
-		return fmt.Errorf("%d benchmark metric(s) regressed more than %.0f%% vs %s",
+		return fmt.Errorf("%d benchmark metric(s) regressed more than %.0f%% or changed a quality metric vs %s",
 			regressed, threshold*100, oldPath)
 	}
 	return nil

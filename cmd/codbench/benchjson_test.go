@@ -228,3 +228,61 @@ func TestCompareBenchReportsNoSharedNames(t *testing.T) {
 		t.Fatal("comparison with no shared benchmarks must fail rather than silently pass")
 	}
 }
+
+// fig4Run is one Fig. 4 run: timing units plus the two quality metrics.
+func fig4Run(ns, codl5th float64) BenchRun {
+	return BenchRun{Name: "BenchmarkFig4FiveDeepest", Iterations: 1, Metrics: map[string]float64{
+		"ns/op": ns, "allocs/op": 230661, "B/op": 33357488, "CODL-5th": codl5th, "CODU-5th": 32.5,
+	}}
+}
+
+func TestCompareBenchReportsQualityMetricExact(t *testing.T) {
+	dir := t.TempDir()
+	oldP := writeReport(t, dir, "old.json", []BenchRun{fig4Run(130e6, 39.8), fig4Run(137e6, 39.8)})
+
+	// Timing noise alone passes, and the quality metrics are listed exact.
+	sameP := writeReport(t, dir, "same.json", []BenchRun{fig4Run(128e6, 39.8), fig4Run(140e6, 39.8)})
+	var buf strings.Builder
+	if err := compareBenchReports(&buf, oldP, sameP, 0.25); err != nil {
+		t.Fatalf("unchanged quality metrics failed the gate: %v\n%s", err, buf.String())
+	}
+	if !strings.Contains(buf.String(), "CODL-5th") || !strings.Contains(buf.String(), "exact") {
+		t.Errorf("output does not report the exact quality metrics:\n%s", buf.String())
+	}
+
+	// A planted 39.8 -> 39.9 change in one run fails, though no timing moved.
+	newP := writeReport(t, dir, "new.json", []BenchRun{fig4Run(130e6, 39.8), fig4Run(137e6, 39.9)})
+	buf.Reset()
+	if err := compareBenchReports(&buf, oldP, newP, 0.25); err == nil {
+		t.Fatalf("CODL-5th 39.8 -> 39.9 not reported; output:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), "CHANGED") {
+		t.Errorf("comparison output does not mark the changed metric:\n%s", buf.String())
+	}
+
+	// A quality metric the new report dropped fails too.
+	dropped := fig4Run(130e6, 39.8)
+	delete(dropped.Metrics, "CODU-5th")
+	dropP := writeReport(t, dir, "drop.json", []BenchRun{dropped})
+	if err := compareBenchReports(&buf, oldP, dropP, 0.25); err == nil {
+		t.Fatal("a dropped quality metric passed the gate")
+	}
+}
+
+func TestCompareBenchReportsTimingUnitsExempt(t *testing.T) {
+	// Timing-derived units vary run to run; only ns/op and allocs/op gate,
+	// by threshold, never by equality.
+	run := func(us, speedup, ratio float64) BenchRun {
+		return BenchRun{Name: "BenchmarkFig9Runtime", Iterations: 1, Metrics: map[string]float64{
+			"ns/op": 280e6, "allocs/op": 399342, "B/op": 55011984,
+			"CODL-us": us, "CODL--us": us, "speedup": speedup, "CODR/CODL": ratio,
+		}}
+	}
+	dir := t.TempDir()
+	oldP := writeReport(t, dir, "old.json", []BenchRun{run(9339, 2.3, 2.241)})
+	newP := writeReport(t, dir, "new.json", []BenchRun{run(10567, 2.5, 2.391)})
+	var buf strings.Builder
+	if err := compareBenchReports(&buf, oldP, newP, 0.25); err != nil {
+		t.Fatalf("timing-derived units failed the exact gate: %v\n%s", err, buf.String())
+	}
+}

@@ -67,7 +67,7 @@ func main() {
 		maxInFlight   = flag.Int("max-inflight", 64, "concurrent query cap before shedding with 429")
 		grace         = flag.Duration("shutdown-grace", 10*time.Second, "drain window for in-flight queries on shutdown")
 		debugAddr     = flag.String("debug-addr", "", "optional listen address for pprof + /metrics (off when empty)")
-		sampleCache   = flag.Int("sample-cache", 0, "per-attribute RR sample pools kept resident (0 = off); hits/misses on /metrics")
+		sampleCache   = flag.Int("sample-cache", 0, "per-attribute RR sample pools kept resident (0 = off); hits/misses on /metrics. Only whole-graph sampling (CODU, CODR, CODL⁻) uses it: default CODL samples inside C_ℓ and records no hits or misses")
 		slowQuery     = flag.Duration("slow-query", obs.DefaultSlowAfter, "latency at which a query is retained in the /debug/queries slow ring")
 		indexStore    = flag.String("index-store", "", "blob store root directory to serve published index epochs from (skips the local offline build)")
 		indexWatch    = flag.Duration("index-watch", 10*time.Second, "poll cadence for new index epochs in the store (0 = fetch once at startup)")

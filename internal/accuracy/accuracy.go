@@ -199,8 +199,7 @@ func exactMarginAt(ctx context.Context, g *graph.Graph, eng *engine.Engine, p en
 	switch variant {
 	case engine.VariantCODU:
 		ch = core.ChainFromTree(eng.Tree(), q.Node)
-		s := engine.NewGraphSampler(g, p.Model, rng)
-		pool, err := influence.BatchCtx(ctx, s, p.Theta*g.N())
+		pool, err := influence.BatchIntoCtx(ctx, engine.NewGraphSampler(g, p.Model, rng), p.Theta*g.N(), influence.NewArena())
 		if err != nil {
 			return 0, err
 		}
@@ -218,11 +217,14 @@ func exactMarginAt(ctx context.Context, g *graph.Graph, eng *engine.Engine, p en
 		}
 		member := func(u graph.NodeID) bool { return in[u] }
 		s := engine.NewGraphSampler(g, p.Model, rng)
+		a := influence.NewArena()
 		total := p.Theta * len(members)
-		rrs = make([]*influence.RRGraph, 0, total)
-		for i := 0; i < total; i++ {
-			rrs = append(rrs, s.RRGraphWithin(members[rng.IntN(len(members))], member))
+		if err := influence.SampleRange(ctx, "accuracy: restricted rr sampling", 0, total, total, 1, func(_, _ int) {
+			s.RRGraphWithinInto(a, members[rng.IntN(len(members))], member)
+		}); err != nil {
+			return 0, err
 		}
+		rrs = a.Finalize()
 	default:
 		return 0, fmt.Errorf("accuracy: margin replay for unsupported variant %v", variant)
 	}

@@ -37,8 +37,8 @@
 // A function that returns an owned view of a parameter (or receiver)
 // without releasing it is not a bug — it is a transfer of the ownership
 // obligation, recorded as an OwnedResult fact so the caller is checked
-// instead: exactly the sampleRestricted -> Execute relationship in
-// internal/engine. Likewise a function that releases a parameter earns a
+// instead: exactly influence.BatchIntoCtx, whose pool aliases the arena
+// its caller passed in. Likewise a function that releases a parameter earns a
 // Releases fact (engine's release method), so `defer e.release(sc)`
 // guards the whole extent of Execute. Suppress a deliberate exception
 // with //codvet:ignore arenaescape and a reason.

@@ -98,7 +98,7 @@ func BadClosure(a *arenaescapefix.Arena) func() int {
 // --- silent shapes ---
 
 // Transfer returns the view without releasing: ownership moves to the
-// caller (this is sampleRestricted's shape), recorded as a fact.
+// caller (this is influence.BatchIntoCtx's shape), recorded as a fact.
 func Transfer(a *arenaescapefix.Arena) []int {
 	return a.Ints(4)
 }

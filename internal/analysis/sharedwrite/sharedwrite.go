@@ -2,8 +2,8 @@
 // captured from the enclosing function without synchronization.
 //
 // The worker fan-outs in this repository (DiscoverBatch, influence's
-// ParallelBatch) follow one safe idiom: each goroutine writes only
-// out[i] for indices i it exclusively owns. Writes through a captured
+// SampleRange) follow one safe idiom: each goroutine writes only out[i]
+// for indices i it exclusively owns. Writes through a captured
 // slice index are therefore allowed, while the patterns the race detector
 // regularly catches in review are reported:
 //

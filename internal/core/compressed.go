@@ -65,7 +65,7 @@ func (r EvalResult) Equal(o EvalResult) bool {
 // required influence rank (q is top-k iff fewer than k nodes have strictly
 // larger estimated influence).
 func CompressedEvaluate(ch *Chain, rrs []*influence.RRGraph, k int) EvalResult {
-	res, _ := CompressedEvaluateCtx(context.Background(), ch, rrs, k)
+	res, _ := CompressedEvaluateScratchCtx(context.Background(), ch, rrs, k, NewEvalScratch())
 	return res
 }
 
@@ -125,17 +125,11 @@ func (sc *EvalScratch) visitedFor(n int) []bool {
 	return sc.visited
 }
 
-// CompressedEvaluateCtx is CompressedEvaluate with cancellation: the HFS
-// pass polls ctx.Err() once per influence.PollEvery RR graphs and aborts
-// with a *influence.CanceledError counting the RR graphs folded in so far.
-// An uncancelled call returns exactly CompressedEvaluate's result.
-func CompressedEvaluateCtx(ctx context.Context, ch *Chain, rrs []*influence.RRGraph, k int) (EvalResult, error) {
-	return CompressedEvaluateScratchCtx(ctx, ch, rrs, k, NewEvalScratch())
-}
-
-// CompressedEvaluateScratchCtx is CompressedEvaluateCtx drawing every working
-// buffer from sc instead of allocating. Results are identical to the
-// allocating call for any (possibly dirty) scratch.
+// CompressedEvaluateScratchCtx is CompressedEvaluate with cancellation,
+// drawing every working buffer from sc instead of allocating: the HFS pass
+// polls ctx.Err() once per influence.PollEvery RR graphs and aborts with a
+// *influence.CanceledError counting the RR graphs folded in so far. Results
+// are identical to CompressedEvaluate for any (possibly dirty) scratch.
 func CompressedEvaluateScratchCtx(ctx context.Context, ch *Chain, rrs []*influence.RRGraph, k int, sc *EvalScratch) (EvalResult, error) {
 	rec := obs.FromContext(ctx)
 	L := ch.Len()

@@ -60,7 +60,7 @@ func TestCompressedMatchesReference(t *testing.T) {
 		q := graph.NodeID(rng.IntN(40))
 		ch := ChainFromTree(tr, q)
 		s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(seed+100))
-		rrs := s.Batch(400)
+		rrs := batch(s, 400)
 
 		ref := referenceCounts(ch, rrs)
 		for _, k := range []int{1, 2, 5} {
@@ -90,7 +90,7 @@ func TestCompressedCumulativeCounts(t *testing.T) {
 	q := graph.NodeID(7)
 	ch := ChainFromTree(tr, q)
 	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(43))
-	rrs := s.Batch(300)
+	rrs := batch(s, 300)
 	ref := referenceCounts(ch, rrs)
 
 	// Truncated chains end at level h; QCount then equals ref[h][q].
@@ -113,7 +113,7 @@ func TestCompressedBucketBound(t *testing.T) {
 	}
 	ch := ChainFromTree(tr, 3)
 	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(6))
-	rrs := s.Batch(500)
+	rrs := batch(s, 500)
 	total := 0
 	for _, r := range rrs {
 		total += r.Len()
@@ -138,7 +138,7 @@ func TestCompressedWholeGraphAlwaysChecked(t *testing.T) {
 	}
 	ch := ChainFromTree(tr, 11)
 	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(10))
-	rrs := s.Batch(200)
+	rrs := batch(s, 200)
 	res := CompressedEvaluate(ch, rrs, 25)
 	if res.Level != ch.Len()-1 {
 		t.Errorf("k=n should select the root community, got level %d", res.Level)
@@ -228,7 +228,7 @@ func TestIndependentAgainstCompressed(t *testing.T) {
 	ch := ChainFromTree(tr, 0)
 	model := influence.NewWeightedCascade(g)
 	s := influence.NewSampler(g, model, graph.NewRand(77))
-	rrs := s.Batch(4000)
+	rrs := batch(s, 4000)
 	comp := CompressedEvaluate(ch, rrs, 1)
 	ind, done := IndependentEvaluate(g, model, ch, 1, 300, graph.NewRand(78), 0)
 	if !done {
@@ -290,7 +290,7 @@ func TestCompressedMatchesReferenceLT(t *testing.T) {
 		q := graph.NodeID(rng.IntN(35))
 		ch := ChainFromTree(tr, q)
 		s := influence.NewLTSampler(g, influence.UniformLT{G: g}, graph.NewRand(seed+700))
-		rrs := s.Batch(400)
+		rrs := batch(s, 400)
 		ref := referenceCounts(ch, rrs)
 		for _, k := range []int{1, 3} {
 			got := CompressedEvaluate(ch, rrs, k)
@@ -323,7 +323,7 @@ func TestLemma1NonMonotoneRank(t *testing.T) {
 	}
 	ch := ChainFromTree(tr, 0)
 	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(11))
-	rrs := s.Batch(5000)
+	rrs := batch(s, 5000)
 	ref := referenceCounts(ch, rrs)
 
 	// rank of q per level
@@ -362,18 +362,18 @@ func TestCompressedEvaluateCtxMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := ChainFromTree(tr, 7)
-	rrs := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(8)).Batch(400)
+	rrs := batch(influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(8)), 400)
 	want := CompressedEvaluate(ch, rrs, 3)
-	got, err := CompressedEvaluateCtx(context.Background(), ch, rrs, 3)
+	got, err := CompressedEvaluateScratchCtx(context.Background(), ch, rrs, 3, NewEvalScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
-		t.Errorf("CompressedEvaluateCtx = %+v, want %+v", got, want)
+		t.Errorf("CompressedEvaluateScratchCtx = %+v, want %+v", got, want)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CompressedEvaluateCtx(ctx, ch, rrs, 3); !errors.Is(err, context.Canceled) {
+	if _, err := CompressedEvaluateScratchCtx(ctx, ch, rrs, 3, NewEvalScratch()); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled evaluation error = %v", err)
 	}
 }
@@ -387,7 +387,7 @@ func TestCompressedEvaluateScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rrs := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(9)).Batch(300)
+	rrs := batch(influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(9)), 300)
 	sc := NewEvalScratch()
 	for _, q := range []graph.NodeID{0, 13, 27, 41, 59, 13} {
 		ch := ChainFromTree(tr, q)

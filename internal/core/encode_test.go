@@ -15,7 +15,7 @@ func TestHimorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := BuildHimor(g, tr, influence.NewWeightedCascade(g), 5, graph.NewRand(81))
+	idx := icHimor(g, tr, influence.NewWeightedCascade(g), 5, graph.NewRand(81))
 	var buf bytes.Buffer
 	n, err := idx.WriteTo(&buf)
 	if err != nil {
@@ -46,7 +46,7 @@ func TestReadHimorRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := BuildHimor(g, tr, influence.NewWeightedCascade(g), 3, graph.NewRand(83))
+	idx := icHimor(g, tr, influence.NewWeightedCascade(g), 3, graph.NewRand(83))
 	var buf bytes.Buffer
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"sort"
 
 	"github.com/codsearch/cod/internal/graph"
@@ -33,71 +32,15 @@ type Himor struct {
 	nnz []int32
 }
 
-// BuildHimor constructs the HIMOR index over hierarchy t of graph g, using
-// theta RR graphs per node (Θ = theta·|V|) under the given IC influence
-// model. For other models use BuildHimorWithSampler.
-func BuildHimor(g *graph.Graph, t *hier.Tree, model influence.Model, theta int, rng *rand.Rand) *Himor {
-	return BuildHimorWithSampler(g, t, influence.NewSampler(g, model, rng), theta)
-}
-
-// BuildHimorWithSampler constructs the HIMOR index from any RR-graph
-// sampler (IC, LT, ...), using Θ = theta·|V| samples.
-func BuildHimorWithSampler(g *graph.Graph, t *hier.Tree, sampler influence.GraphSampler, theta int) *Himor {
-	return buildHimor(g, t, theta, func() *influence.RRGraph { return sampler.RRGraph() })
-}
-
-// BuildHimorWithSamplerCtx is BuildHimorWithSampler with cancellation: the
-// sampling runs through influence.BatchCtx, which polls ctx.Err() at a
-// bounded interval. Uncancelled builds are identical.
-func BuildHimorWithSamplerCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, sampler influence.GraphSampler, theta int) (*Himor, error) {
-	pool, err := influence.BatchCtx(ctx, sampler, theta*g.N())
-	if err != nil {
-		return nil, err
-	}
+// BuildHimor constructs the HIMOR index over hierarchy t of graph g from
+// pool, Θ = theta·|V| RR graphs sampled over g under any influence model
+// (influence.ParallelBatchCtx samples an IC pool across workers,
+// influence.BatchIntoCtx any model's pool sequentially). The construction —
+// HFS over the pool, then the bottom-up merge — is single-threaded and
+// deterministic, and runs as one himor_build span.
+func BuildHimor(ctx context.Context, g *graph.Graph, t *hier.Tree, pool []*influence.RRGraph, theta int) *Himor {
 	span := obs.FromContext(ctx).StartSpan(obs.StageHimorBuild)
-	i := 0
-	h := buildHimor(g, t, theta, func() *influence.RRGraph {
-		r := pool[i]
-		i++
-		return r
-	})
-	span.EndItems(len(pool))
-	return h, nil
-}
-
-// BuildHimorParallel constructs the index from an RR pool sampled across
-// workers goroutines under the IC model (sampling dominates construction
-// cost, so parallelizing it captures most of the speedup; the HFS and
-// bottom-up merge stay single-threaded and deterministic). Each pool sample
-// is seeded from its index, so the index is byte-identical for any workers.
-func BuildHimorParallel(g *graph.Graph, t *hier.Tree, model influence.Model, theta int, seed uint64, workers int) *Himor {
-	h, _ := BuildHimorParallelCtx(context.Background(), g, t, model, theta, seed, workers)
-	return h
-}
-
-// BuildHimorParallelCtx is BuildHimorParallel with cancellation: every
-// sampling worker polls ctx.Err() at a bounded interval (see
-// influence.ParallelBatchCtx), so shutdown can abandon a warmup in flight.
-// Uncancelled builds are byte-identical for any worker count.
-func BuildHimorParallelCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, model influence.Model, theta int, seed uint64, workers int) (*Himor, error) {
-	pool, err := influence.ParallelBatchCtx(ctx, g, model, theta*g.N(), seed, workers)
-	if err != nil {
-		return nil, err
-	}
-	span := obs.FromContext(ctx).StartSpan(obs.StageHimorBuild)
-	i := 0
-	h := buildHimor(g, t, theta, func() *influence.RRGraph {
-		r := pool[i]
-		i++
-		return r
-	})
-	span.EndItems(len(pool))
-	return h, nil
-}
-
-// buildHimor runs the compressed construction, drawing Θ = theta·|V| RR
-// graphs from next().
-func buildHimor(g *graph.Graph, t *hier.Tree, theta int, next func() *influence.RRGraph) *Himor {
+	defer span.EndItems(len(pool))
 	n := g.N()
 	h := &Himor{t: t, theta: theta}
 	h.rank = make([][]int32, n)
@@ -115,10 +58,8 @@ func buildHimor(g *graph.Graph, t *hier.Tree, theta int, next func() *influence.
 	// form the ancestor chain of leaf(s), so the traversal is exactly the
 	// chain HFS of Algorithm 1 with buckets living on tree vertices.
 	buckets := make([]map[graph.NodeID]int32, t.NumVertices())
-	theta0 := theta * n
 	queues := make([][]int32, 0, 64)
-	for i := 0; i < theta0; i++ {
-		r := next()
+	for _, r := range pool {
 		src := r.Source()
 		chainVerts := t.Ancestors(t.LeafOf(src))
 		if len(chainVerts) == 0 {

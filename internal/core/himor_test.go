@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/codsearch/cod/internal/graph"
@@ -46,12 +48,8 @@ func TestHimorMatchesReference(t *testing.T) {
 		}
 		model := influence.NewWeightedCascade(g)
 		theta := 8
-		idx := BuildHimor(g, tr, model, theta, graph.NewRand(seed+60))
-
-		// Regenerate the identical RR pool (same seed, same consumption
-		// order) for the reference computation.
-		s := influence.NewSampler(g, model, graph.NewRand(seed+60))
-		rrs := s.Batch(theta * g.N())
+		rrs := batch(influence.NewSampler(g, model, graph.NewRand(seed+60)), theta*g.N())
+		idx := BuildHimor(context.Background(), g, tr, rrs, theta)
 
 		for _, q := range []graph.NodeID{0, 7, 19, 34} {
 			for _, v := range tr.Ancestors(tr.LeafOf(q)) {
@@ -72,7 +70,7 @@ func TestHimorRootRanksEveryNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := BuildHimor(g, tr, influence.NewWeightedCascade(g), 10, graph.NewRand(71))
+	idx := icHimor(g, tr, influence.NewWeightedCascade(g), 10, graph.NewRand(71))
 	root := tr.Root()
 	// Ranks at the root are a permutation-with-ties: all in [0, n).
 	for q := graph.NodeID(0); q < 40; q++ {
@@ -93,7 +91,7 @@ func TestHimorAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := BuildHimor(g, tr, influence.NewWeightedCascade(g), 5, graph.NewRand(73))
+	idx := icHimor(g, tr, influence.NewWeightedCascade(g), 5, graph.NewRand(73))
 	if idx.Theta() != 5 {
 		t.Errorf("Theta = %d", idx.Theta())
 	}
@@ -114,7 +112,7 @@ func TestHimorZeroCountNodeRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := BuildHimor(g, tr, influence.NewWeightedCascade(g), 0, graph.NewRand(75))
+	idx := icHimor(g, tr, influence.NewWeightedCascade(g), 0, graph.NewRand(75))
 	for q := graph.NodeID(0); q < 15; q++ {
 		for _, v := range tr.Ancestors(tr.LeafOf(q)) {
 			if r := idx.Rank(q, v); r != 0 {
@@ -131,11 +129,17 @@ func TestHimorParallelMatchesPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := influence.NewWeightedCascade(g)
-	idx := BuildHimorParallel(g, tr, model, 4, 91, 4)
-	// Reference from the identical pool, consumed in the same order.
-	pool := influence.ParallelBatch(g, model, 4*g.N(), 91, 4)
-	i := 0
-	ref := buildHimor(g, tr, 4, func() *influence.RRGraph { r := pool[i]; i++; return r })
+	pool := func(workers int) []*influence.RRGraph {
+		rrs, err := influence.ParallelBatchCtx(context.Background(), g, model, 4*g.N(), 91, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rrs
+	}
+	// The index over a 4-worker pool equals the one over the sequential
+	// pool: per-item seeding makes the pools, and so the ranks, identical.
+	idx := BuildHimor(context.Background(), g, tr, pool(4), 4)
+	ref := BuildHimor(context.Background(), g, tr, pool(1), 4)
 	for q := graph.NodeID(0); int(q) < g.N(); q++ {
 		for _, v := range tr.Ancestors(tr.LeafOf(q)) {
 			if idx.Rank(q, v) != ref.Rank(q, v) {
@@ -146,4 +150,16 @@ func TestHimorParallelMatchesPool(t *testing.T) {
 	if idx.ApproxBytes() != ref.ApproxBytes() {
 		t.Error("sizes differ")
 	}
+}
+
+// batch samples count RR graphs from s into a fresh arena.
+func batch(s influence.GraphSampler, count int) []*influence.RRGraph {
+	rrs, _ := influence.BatchIntoCtx(context.Background(), s, count, influence.NewArena())
+	return rrs
+}
+
+// icHimor builds the index from a sequential weighted-cascade pool of
+// theta·|V| RR graphs drawn from rng.
+func icHimor(g *graph.Graph, tr *hier.Tree, model influence.Model, theta int, rng *rand.Rand) *Himor {
+	return BuildHimor(context.Background(), g, tr, batch(influence.NewSampler(g, model, rng), theta*g.N()), theta)
 }

@@ -51,7 +51,7 @@ func TestMergedChainEvaluationMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(seed+300))
-		rrs := s.Batch(300)
+		rrs := batch(s, 300)
 		ref := referenceCounts(merged, rrs)
 		for _, k := range []int{1, 3} {
 			got := CompressedEvaluate(merged, rrs, k)

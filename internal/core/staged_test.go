@@ -22,7 +22,7 @@ func stagedChain(t *testing.T, seed uint64, n, m, pool int) (*Chain, []*influenc
 	q := graph.NodeID(rng.IntN(n))
 	ch := ChainFromTree(tr, q)
 	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(seed+900))
-	return ch, s.Batch(pool)
+	return ch, batch(s, pool)
 }
 
 // A staged evaluation folding the pool in geometric stages must land on

@@ -28,6 +28,7 @@ import (
 	"github.com/codsearch/cod/internal/graph"
 	"github.com/codsearch/cod/internal/hac"
 	"github.com/codsearch/cod/internal/hier"
+	"github.com/codsearch/cod/internal/influence"
 	"github.com/codsearch/cod/internal/obs"
 )
 
@@ -148,7 +149,9 @@ func (u *Updater) Flush(s Strategy) error {
 		theta = 10
 	}
 	sampler := engine.NewGraphSampler(ng, u.params.Model, graph.NewRand(graph.ItemSeed(u.params.Seed, u.flushes)))
-	u.index = core.BuildHimorWithSampler(ng, nt, sampler, theta)
+	// A Background context never cancels, so the batch cannot fail.
+	pool, _ := influence.BatchIntoCtx(context.Background(), sampler, theta*ng.N(), influence.NewArena())
+	u.index = core.BuildHimor(context.Background(), ng, nt, pool, theta)
 	u.g = ng
 	u.tree = nt
 	u.pending = u.pending[:0]

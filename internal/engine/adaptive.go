@@ -154,10 +154,22 @@ func minGap(margins []core.LevelMargin, best, t int) float64 {
 }
 
 // stagedDraw extends the RR pool to cum cumulative samples and returns the
-// full pool so far. Implementations must draw sample i identically to the
-// non-staged path's i-th draw, so a run that reaches the final stage holds
-// exactly the full-budget pool.
-type stagedDraw func(ctx context.Context, cum int) ([]*influence.RRGraph, error)
+// full pool so far plus the step outcome naming its provenance
+// (restricted, sampled, cache_hit, cache_miss). A non-adaptive sample step
+// is the one-stage case (cum = the full budget), so sample i is drawn
+// identically whatever the stage schedule, and a run that reaches the final
+// stage holds exactly the full-budget pool.
+type stagedDraw func(ctx context.Context, cum int) ([]*influence.RRGraph, string, error)
+
+// poolDraw returns the sample step's budget and the draw that fills it:
+// θ·|C_ℓ| RR graphs confined to C_ℓ for restricted steps, θ·N over the
+// whole graph otherwise.
+func (e *Engine) poolDraw(pl *Plan, step Step, sc *queryScratch, rec *core.Reclustering, rng *rand.Rand) (int, stagedDraw) {
+	if step.Sample == SampleRestricted {
+		return e.stagedRestricted(sc, rec, rng)
+	}
+	return e.stagedShared(sc, pl.predCacheKey())
+}
 
 // runStaged is the fused sample+evaluate loop of an adaptive plan: it grows
 // the pool per the stage schedule, folds each stage's new samples into a
@@ -166,22 +178,14 @@ type stagedDraw func(ctx context.Context, cum int) ([]*influence.RRGraph, error)
 // non-adaptive evaluation of the full pool. It stores the evaluation result
 // in st and returns the sample step's outcome plus the realized stage count
 // and certified gap for the step trace.
-func (e *Engine) runStaged(ctx context.Context, pl *Plan, step Step, sc *queryScratch, rng *rand.Rand, st *execState, ad Adaptive) (outcome string, stages int, gap float64, err error) {
+func (e *Engine) runStaged(ctx context.Context, pl *Plan, total int, draw stagedDraw, sc *queryScratch, st *execState, ad Adaptive) (outcome string, stages int, gap float64, err error) {
 	ad = ad.withDefaults()
 	rec := obs.FromContext(ctx)
-
-	var total int
-	var draw stagedDraw
-	if step.Sample == SampleRestricted {
-		total, draw = e.stagedRestricted(sc, st.rec, rng)
-	} else {
-		total, draw = e.stagedShared(sc, pl.predCacheKey())
-	}
 
 	se := core.NewStagedEval(st.ch, pl.K, sc.eval)
 	sched := stageSchedule(total, ad.Stages)
 	for si, cum := range sched {
-		rrs, err := draw(ctx, cum)
+		rrs, _, err := draw(ctx, cum)
 		if err != nil {
 			return errOutcome(err), si, 0, err
 		}
@@ -212,69 +216,61 @@ func (e *Engine) runStaged(ctx context.Context, pl *Plan, step Step, sc *querySc
 }
 
 // stagedRestricted returns the θ·|C_ℓ| budget and a draw that continues the
-// historical restricted sampling loop across stages: the pause between
-// stages does not touch the query rng, so the cumulative draw order is
-// byte-identical to sampleRestricted's.
+// restricted sampling loop across stages, sources drawn uniformly from the
+// members by the query rng. The pause between stages does not touch the
+// rng, so the cumulative draw order is the same for every stage schedule.
 func (e *Engine) stagedRestricted(sc *queryScratch, rec *core.Reclustering, rng *rand.Rand) (int, stagedDraw) {
 	members := rec.Sub.ToParent
 	in := sc.memberMask(members)
 	member := func(u graph.NodeID) bool { return in[u] }
 	total := e.p.Theta * len(members)
 	drawn := 0
-	return total, func(ctx context.Context, cum int) ([]*influence.RRGraph, error) {
-		span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
-		start := drawn
-		for ; drawn < cum; drawn++ {
-			if drawn%influence.PollEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					span.EndItems(drawn - start)
-					return nil, &influence.CanceledError{
-						Op: "engine: restricted rr sampling", Done: drawn, Total: total, Cause: err}
-				}
-			}
+	return total, func(ctx context.Context, cum int) ([]*influence.RRGraph, string, error) {
+		err := influence.SampleRange(ctx, "engine: restricted rr sampling", drawn, cum, total, 1, func(_, _ int) {
 			sc.sampler.RRGraphWithinInto(sc.arena, members[rng.IntN(len(members))], member)
+		})
+		if err != nil {
+			return nil, "", err
 		}
-		span.EndItems(drawn - start)
-		return sc.arena.Finalize(), nil
+		drawn = cum
+		return sc.arena.Finalize(), "restricted", nil
 	}
 }
 
 // stagedShared returns the θ·N budget and a draw over the shared pool. With
-// the sample cache enabled the full (attr, epoch)-keyed pool is fetched once
-// — its content is already a pure function of the key — and stages evaluate
-// growing prefixes of it; without a cache, stages continue the query-rng
-// sampling loop exactly where the previous stage paused, matching the
-// influence.BatchIntoCtx draw order.
+// the sample cache enabled the full (predicate, epoch)-keyed pool is fetched
+// once — its content is already a pure function of the key, and the query
+// rng is unused — and stages evaluate growing prefixes of it; without a
+// cache, stages continue the query-rng sampling loop exactly where the
+// previous stage paused.
 func (e *Engine) stagedShared(sc *queryScratch, pk predKey) (int, stagedDraw) {
 	total := e.p.Theta * e.g.N()
 	if e.cache != nil {
 		var pool []*influence.RRGraph
-		return total, func(ctx context.Context, cum int) ([]*influence.RRGraph, error) {
+		outcome := "cache_miss"
+		return total, func(ctx context.Context, cum int) ([]*influence.RRGraph, string, error) {
 			if pool == nil {
-				rrs, _, err := e.cache.get(ctx, e, pk, total)
+				rrs, hit, err := e.cache.get(ctx, e, pk, total)
 				if err != nil {
-					return nil, err
+					return nil, outcome, err
 				}
 				pool = rrs
+				if hit {
+					outcome = "cache_hit"
+				}
 			}
-			return pool[:cum], nil
+			return pool[:cum], outcome, nil
 		}
 	}
 	drawn := 0
-	return total, func(ctx context.Context, cum int) ([]*influence.RRGraph, error) {
-		span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
-		start := drawn
-		for ; drawn < cum; drawn++ {
-			if drawn%influence.PollEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					span.EndItems(drawn - start)
-					return nil, &influence.CanceledError{
-						Op: "influence: rr batch", Done: drawn, Total: total, Cause: err}
-				}
-			}
+	return total, func(ctx context.Context, cum int) ([]*influence.RRGraph, string, error) {
+		err := influence.SampleRange(ctx, "influence: rr batch", drawn, cum, total, 1, func(_, _ int) {
 			sc.sampler.RRGraphInto(sc.arena)
+		})
+		if err != nil {
+			return nil, "", err
 		}
-		span.EndItems(drawn - start)
-		return sc.arena.Finalize(), nil
+		drawn = cum
+		return sc.arena.Finalize(), "sampled", nil
 	}
 }

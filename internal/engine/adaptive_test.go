@@ -211,7 +211,7 @@ func exactMargins(t *testing.T, g *graph.Graph, tree *hier.Tree, p Params, q gra
 	ch := core.ChainFromTree(tree, q)
 	s := NewGraphSampler(g, p.Model, graph.NewRand(seed))
 	total := p.Theta * g.N()
-	rrs, err := influence.BatchCtx(context.Background(), s, total)
+	rrs, err := influence.BatchIntoCtx(context.Background(), s, total, influence.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,22 +173,16 @@ func (c *sampleCache) populate(ctx context.Context, e *Engine, key cacheKey, ent
 	// pool — reset rather than assume. Safe: nothing reads the arena
 	// before entry.ready is set.
 	entry.arena.Reset()
-	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
 	src := graph.NewPCG(0)
-	smp := newArenaSampler(e.g, e.p.Model, rand.New(src))
+	smp := NewGraphSampler(e.g, e.p.Model, rand.New(src))
 	base := poolSeed(e.p.Seed, key.pred, key.epoch)
-	for i := 0; i < count; i++ {
-		if i%influence.PollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				span.EndItems(i)
-				return &influence.CanceledError{
-					Op: "engine: cached rr sampling", Done: i, Total: count, Cause: err}
-			}
-		}
+	err := influence.SampleRange(ctx, "engine: cached rr sampling", 0, count, count, 1, func(_, i int) {
 		graph.SeedPCG(src, graph.ItemSeed(base, i))
 		smp.RRGraphInto(entry.arena)
+	})
+	if err != nil {
+		return err
 	}
-	span.EndItems(count)
 	entry.rrs = entry.arena.Finalize()
 	entry.ready = true
 	return nil

@@ -88,17 +88,18 @@ func Build(ctx context.Context, g *graph.Graph, p Params, cfg Config) (*Engine, 
 	if err != nil {
 		return nil, err
 	}
-	var idx *core.Himor
+	var pool []*influence.RRGraph
 	if p.Model == ICWeightedCascade {
-		// The pooled sampler seeds each RR graph from its index, so the index
+		// The parallel pool seeds each RR graph from its index, so the index
 		// (and every query answer) is identical for any Workers value.
-		idx, err = core.BuildHimorParallelCtx(ctx, g, t, influence.NewWeightedCascade(g), p.Theta, p.Seed^0x51ed, p.Workers)
+		pool, err = influence.ParallelBatchCtx(ctx, g, influence.NewWeightedCascade(g), p.Theta*g.N(), p.Seed^0x51ed, p.Workers)
 	} else {
-		idx, err = core.BuildHimorWithSamplerCtx(ctx, g, t, NewGraphSampler(g, p.Model, graph.NewRand(p.Seed^0x51ed)), p.Theta)
+		pool, err = influence.BatchIntoCtx(ctx, NewGraphSampler(g, p.Model, graph.NewRand(p.Seed^0x51ed)), p.Theta*g.N(), influence.NewArena())
 	}
 	if err != nil {
 		return nil, err
 	}
+	idx := core.BuildHimor(ctx, g, t, pool, p.Theta)
 	return New(g, t, idx, p, cfg), nil
 }
 
@@ -202,7 +203,7 @@ func (e *Engine) predTree(ctx context.Context, attr graph.AttrID, pred *query.DN
 // release — the poolret codvet check enforces this shape.
 type queryScratch struct {
 	n       int // g.N() the buffers were sized for
-	sampler arenaSampler
+	sampler influence.GraphSampler
 	arena   *influence.Arena
 	eval    *core.EvalScratch
 	mask    []bool
@@ -217,7 +218,7 @@ func (e *Engine) acquire(rng *rand.Rand) *queryScratch {
 		e.scratchAlloc.Add(1)
 		sc = &queryScratch{
 			n:       e.g.N(),
-			sampler: newArenaSampler(e.g, e.p.Model, rng),
+			sampler: NewGraphSampler(e.g, e.p.Model, rng),
 			arena:   influence.NewArena(),
 			eval:    core.NewEvalScratch(),
 			mask:    make([]bool, e.g.N()),

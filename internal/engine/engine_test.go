@@ -19,50 +19,50 @@ import (
 	"github.com/codsearch/cod/internal/obs"
 )
 
-// The reference implementations below replicate the historical (pre-engine)
-// pipelines verbatim: fresh allocations everywhere, influence.BatchCtx for
-// shared pools, a fresh sampler per query. Execute with the sample cache
-// disabled must match them byte-for-byte — this is the §9 determinism
-// contract for the pooled refactor.
+// The reference implementations below replicate the pipelines on the bare
+// primitives: fresh allocations everywhere (a fresh sampler, arena and
+// evaluation scratch per query), influence.BatchIntoCtx for shared pools, a
+// plain loop for restricted ones. Execute with the sample cache disabled
+// must match them byte-for-byte — this is the §9 determinism contract for
+// the pooled engine (scratch reuse, pooling, the index probe).
 
-func refCODU(g *graph.Graph, t *hier.Tree, p Params, q graph.NodeID, rng *rand.Rand) (Community, error) {
-	ctx := context.Background()
-	ch := core.ChainFromTree(t, q)
-	s := NewGraphSampler(g, p.Model, rng)
-	rrs, err := influence.BatchCtx(ctx, s, p.Theta*g.N())
-	if err != nil {
-		return Community{Level: -1}, err
-	}
-	res, err := core.CompressedEvaluateCtx(ctx, ch, rrs, p.K)
+// refPool samples the θ·N shared pool from rng into a fresh arena.
+func refPool(g *graph.Graph, p Params, rng *rand.Rand) ([]*influence.RRGraph, error) {
+	return influence.BatchIntoCtx(context.Background(), NewGraphSampler(g, p.Model, rng), p.Theta*g.N(), influence.NewArena())
+}
+
+// refEvaluate runs the compressed evaluation over rrs with a fresh scratch.
+func refEvaluate(ch *core.Chain, rrs []*influence.RRGraph, p Params) (Community, error) {
+	res, err := core.CompressedEvaluateScratchCtx(context.Background(), ch, rrs, p.K, core.NewEvalScratch())
 	if err != nil {
 		return Community{Level: -1}, err
 	}
 	return communityFromChain(ch, res), nil
+}
+
+func refCODU(g *graph.Graph, t *hier.Tree, p Params, q graph.NodeID, rng *rand.Rand) (Community, error) {
+	rrs, err := refPool(g, p, rng)
+	if err != nil {
+		return Community{Level: -1}, err
+	}
+	return refEvaluate(core.ChainFromTree(t, q), rrs, p)
 }
 
 func refCODR(g *graph.Graph, p Params, q graph.NodeID, attr graph.AttrID, rng *rand.Rand) (Community, error) {
-	ctx := context.Background()
 	gl := core.AttributeWeighted(g, attr, p.Beta)
-	t, err := hac.ClusterCtx(ctx, gl, p.Linkage)
+	t, err := hac.ClusterCtx(context.Background(), gl, p.Linkage)
 	if err != nil {
 		return Community{}, err
 	}
-	ch := core.ChainFromTree(t, q)
-	s := NewGraphSampler(g, p.Model, rng)
-	rrs, err := influence.BatchCtx(ctx, s, p.Theta*g.N())
+	rrs, err := refPool(g, p, rng)
 	if err != nil {
 		return Community{Level: -1}, err
 	}
-	res, err := core.CompressedEvaluateCtx(ctx, ch, rrs, p.K)
-	if err != nil {
-		return Community{Level: -1}, err
-	}
-	return communityFromChain(ch, res), nil
+	return refEvaluate(core.ChainFromTree(t, q), rrs, p)
 }
 
 func refCODL(g *graph.Graph, t *hier.Tree, idx *core.Himor, p Params, q graph.NodeID, attr graph.AttrID, rng *rand.Rand) (Community, error) {
-	ctx := context.Background()
-	rec, err := core.LoreCtx(ctx, g, t, q, attr, p.Beta, p.Linkage)
+	rec, err := core.LoreCtx(context.Background(), g, t, q, attr, p.Beta, p.Linkage)
 	if err != nil {
 		return Community{}, err
 	}
@@ -76,7 +76,6 @@ func refCODL(g *graph.Graph, t *hier.Tree, idx *core.Himor, p Params, q graph.No
 			return Community{Nodes: t.Members(v), Found: true, Level: -1, FromIndex: true}, nil
 		}
 	}
-	inner := core.InnerChain(g, t, rec, q)
 	members := rec.Sub.ToParent
 	in := make([]bool, g.N())
 	for _, v := range members {
@@ -84,35 +83,23 @@ func refCODL(g *graph.Graph, t *hier.Tree, idx *core.Himor, p Params, q graph.No
 	}
 	member := func(u graph.NodeID) bool { return in[u] }
 	s := NewGraphSampler(g, p.Model, rng)
-	total := p.Theta * len(members)
-	rrs := make([]*influence.RRGraph, 0, total)
-	for i := 0; i < total; i++ {
-		rrs = append(rrs, s.RRGraphWithin(members[rng.IntN(len(members))], member))
+	a := influence.NewArena()
+	for i := 0; i < p.Theta*len(members); i++ {
+		s.RRGraphWithinInto(a, members[rng.IntN(len(members))], member)
 	}
-	res, err := core.CompressedEvaluateCtx(ctx, inner, rrs, p.K)
-	if err != nil {
-		return Community{Level: -1}, err
-	}
-	return communityFromChain(inner, res), nil
+	return refEvaluate(core.InnerChain(g, t, rec, q), a.Finalize(), p)
 }
 
 func refCODLNoIndex(g *graph.Graph, t *hier.Tree, p Params, q graph.NodeID, attr graph.AttrID, rng *rand.Rand) (Community, error) {
-	ctx := context.Background()
-	rec, err := core.LoreCtx(ctx, g, t, q, attr, p.Beta, p.Linkage)
+	rec, err := core.LoreCtx(context.Background(), g, t, q, attr, p.Beta, p.Linkage)
 	if err != nil {
 		return Community{}, err
 	}
-	merged := core.MergedChain(g, t, rec, q)
-	s := NewGraphSampler(g, p.Model, rng)
-	rrs, err := influence.BatchCtx(ctx, s, p.Theta*g.N())
+	rrs, err := refPool(g, p, rng)
 	if err != nil {
 		return Community{Level: -1}, err
 	}
-	res, err := core.CompressedEvaluateCtx(ctx, merged, rrs, p.K)
-	if err != nil {
-		return Community{Level: -1}, err
-	}
-	return communityFromChain(merged, res), nil
+	return refEvaluate(core.MergedChain(g, t, rec, q), rrs, p)
 }
 
 // queryNodes picks a spread of query nodes, always including ones carrying
@@ -308,7 +295,11 @@ func TestRebindInvalidatesCaches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx := core.BuildHimor(ng, nt, influence.NewWeightedCascade(ng), p.Theta, graph.NewRand(7))
+		pool, err := influence.BatchIntoCtx(ctx, NewGraphSampler(ng, ICWeightedCascade, graph.NewRand(7)), p.Theta*ng.N(), influence.NewArena())
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := core.BuildHimor(ctx, ng, nt, pool, p.Theta)
 		eng.Rebind(ng, nt, idx)
 		if eng.Epoch() != 1 {
 			t.Fatalf("epoch after rebind = %d, want 1", eng.Epoch())

@@ -39,21 +39,9 @@ const (
 	LTUniform
 )
 
-// NewGraphSampler returns a sampler for the model over g driven by rng.
+// NewGraphSampler returns the RR-graph sampler for the model over g driven
+// by rng. It is the one sampler constructor of the query and offline paths.
 func NewGraphSampler(g *graph.Graph, m Model, rng *rand.Rand) influence.GraphSampler {
-	return newArenaSampler(g, m, rng)
-}
-
-// arenaSampler is the sampler contract the engine executes plans with: the
-// GraphSampler surface plus arena-writing variants plus rng rebinding, so a
-// pooled sampler (with its per-graph visited marks) serves successive
-// queries that each carry their own deterministic stream.
-type arenaSampler interface {
-	influence.ArenaSampler
-	SetRand(rng *rand.Rand)
-}
-
-func newArenaSampler(g *graph.Graph, m Model, rng *rand.Rand) arenaSampler {
 	if m == LTUniform {
 		return influence.NewLTSampler(g, influence.UniformLT{G: g}, rng)
 	}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/codsearch/cod/internal/graph"
@@ -40,28 +42,54 @@ func TestParamsDefaults(t *testing.T) {
 	}
 }
 
-func TestCODUQuery(t *testing.T) {
-	g, q := attrGraph(t, 1)
-	codu, err := NewCODU(g, Params{K: 5, Theta: 5})
+// treeEngine clusters g and returns an engine over the hierarchy alone (no
+// HIMOR index), enough for CODU and CODR plans.
+func treeEngine(t *testing.T, g *graph.Graph, p Params) *Engine {
+	t.Helper()
+	tr, err := clusterTree(context.Background(), g, p.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	com := codu.Query(q, graph.NewRand(2))
+	return New(g, tr, nil, p, Config{})
+}
+
+// buildEngine runs the full offline phase (hierarchy plus HIMOR index).
+func buildEngine(t *testing.T, g *graph.Graph, p Params) *Engine {
+	t.Helper()
+	eng, err := Build(context.Background(), g, p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// run compiles and executes one (variant, q, attr) plan.
+func run(eng *Engine, v Variant, q graph.NodeID, attr graph.AttrID, rng *rand.Rand) (Community, error) {
+	return eng.Execute(context.Background(), eng.Compile(v, q, attr), rng)
+}
+
+func TestCODUQuery(t *testing.T) {
+	g, q := attrGraph(t, 1)
+	eng := treeEngine(t, g, Params{K: 5, Theta: 5})
+	com, err := run(eng, VariantCODU, q, 0, graph.NewRand(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if com.Found && com.Size() == 0 {
 		t.Error("found community with no nodes")
 	}
 	if com.Found && !containsNode(com.Nodes, q) {
 		t.Error("community must contain the query node")
 	}
-	if codu.Tree() == nil {
+	if eng.Tree() == nil {
 		t.Error("Tree accessor nil")
 	}
 }
 
 func TestCODRQuery(t *testing.T) {
 	g, q := attrGraph(t, 3)
-	codr := NewCODR(g, Params{K: 5, Theta: 5})
-	com, err := codr.Query(q, 0, graph.NewRand(4))
+	eng := New(g, nil, nil, Params{K: 5, Theta: 5}, Config{})
+	com, err := run(eng, VariantCODR, q, 0, graph.NewRand(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,21 +100,20 @@ func TestCODRQuery(t *testing.T) {
 
 func TestCODRHierarchyCache(t *testing.T) {
 	g, _ := attrGraph(t, 5)
-	codr := NewCODR(g, Params{})
-	codr.CacheHierarchies = true
-	t1, err := codr.Hierarchy(0)
+	eng := New(g, nil, nil, Params{}, Config{})
+	ctx := context.Background()
+	t1, err := eng.AttrTree(ctx, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := codr.Hierarchy(0)
+	t2, err := eng.AttrTree(ctx, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if t1 != t2 {
 		t.Error("cache did not return the same hierarchy")
 	}
-	codr.CacheHierarchies = false
-	t3, err := codr.Hierarchy(0)
+	t3, err := eng.AttrTree(ctx, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +124,8 @@ func TestCODRHierarchyCache(t *testing.T) {
 
 func TestCODLQueryPaths(t *testing.T) {
 	g, q := attrGraph(t, 6)
-	codl, err := NewCODL(g, Params{K: 5, Theta: 5, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	com, err := codl.Query(q, 0, graph.NewRand(7))
+	eng := buildEngine(t, g, Params{K: 5, Theta: 5, Seed: 6})
+	com, err := run(eng, VariantCODL, q, 0, graph.NewRand(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +133,8 @@ func TestCODLQueryPaths(t *testing.T) {
 		t.Error("community must contain q")
 	}
 	// With k = n the index path must trigger at the root immediately.
-	codlBig := NewCODLWithTree(g, codl.Tree(), codl.Index(), Params{K: g.N(), Theta: 5})
-	comBig, err := codlBig.Query(q, 0, graph.NewRand(8))
+	big := New(g, eng.Tree(), eng.Index(), Params{K: g.N(), Theta: 5}, Config{})
+	comBig, err := run(big, VariantCODL, q, 0, graph.NewRand(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,15 +148,12 @@ func TestCODLQueryPaths(t *testing.T) {
 
 func TestCODLNoIndexAgreesQualitatively(t *testing.T) {
 	g, q := attrGraph(t, 9)
-	codl, err := NewCODL(g, Params{K: 5, Theta: 5, Seed: 9})
+	eng := buildEngine(t, g, Params{K: 5, Theta: 5, Seed: 9})
+	with, err := run(eng, VariantCODL, q, 0, graph.NewRand(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := codl.Query(q, 0, graph.NewRand(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := codl.QueryNoIndex(q, 0, graph.NewRand(10))
+	without, err := run(eng, VariantCODLNoIndex, q, 0, graph.NewRand(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,24 +164,6 @@ func TestCODLNoIndexAgreesQualitatively(t *testing.T) {
 	}
 	if without.Found && !containsNode(without.Nodes, q) {
 		t.Error("CODL⁻ community must contain q")
-	}
-}
-
-func TestMergedChainFor(t *testing.T) {
-	g, q := attrGraph(t, 12)
-	codl, err := NewCODL(g, Params{Theta: 3, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := codl.MergedChainFor(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.Validate(); err != nil {
-		t.Errorf("merged chain invalid: %v", err)
-	}
-	if ch.Size(ch.Len()-1) != g.N() {
-		t.Error("merged chain must end at the whole graph")
 	}
 }
 
@@ -179,7 +182,10 @@ func TestNewGraphSamplerKinds(t *testing.T) {
 	g := graph.ErdosRenyi(15, 40, graph.NewRand(85))
 	ic := NewGraphSampler(g, ICWeightedCascade, graph.NewRand(86))
 	lt := NewGraphSampler(g, LTUniform, graph.NewRand(86))
-	if ic.RRGraph() == nil || lt.RRGraph() == nil {
+	a := influence.NewArena()
+	ic.RRGraphInto(a)
+	lt.RRGraphInto(a)
+	if a.Len() != 2 {
 		t.Fatal("samplers broken")
 	}
 	if _, ok := ic.(*influence.Sampler); !ok {

@@ -386,27 +386,20 @@ func (e *Engine) runStep(ctx context.Context, pl *Plan, step Step, sc *queryScra
 		return Community{}, "unknown", false, nil
 
 	case StepSample:
+		total, draw := e.poolDraw(pl, step, sc, st.rec, rng)
 		if ad := e.adaptiveFor(pl); ad.Enabled {
 			// Bounded-error mode fuses sampling and evaluation: the pool
 			// grows in stages, each swept and tested for certification, so
 			// the step's outcome is the decision (early_stop/exhausted)
 			// rather than the pool's provenance.
-			outcome, stages, gap, err := e.runStaged(ctx, pl, step, sc, rng, st, ad)
+			outcome, stages, gap, err := e.runStaged(ctx, pl, total, draw, sc, st, ad)
 			st.staged, st.stages, st.gap = true, stages, gap
 			if err != nil {
 				return Community{}, outcome, false, err
 			}
 			return Community{}, outcome, false, nil
 		}
-		if step.Sample == SampleRestricted {
-			rrs, err := e.sampleRestricted(ctx, sc, st.rec, rng)
-			if err != nil {
-				return Community{}, errOutcome(err), false, err
-			}
-			st.rrs = rrs
-			return Community{}, "restricted", false, nil
-		}
-		rrs, outcome, err := e.sampleShared(ctx, sc, pl.predCacheKey())
+		rrs, outcome, err := draw(ctx, total)
 		if err != nil {
 			return Community{}, errOutcome(err), false, err
 		}
@@ -475,49 +468,6 @@ func (e *Engine) probeIndex(ctx context.Context, q graph.NodeID, k int, rec *cor
 	}
 	lookup.EndItems(len(anc) + 1)
 	return Community{}, false
-}
-
-// sampleShared fills the θ·N whole-graph pool: from the per-predicate cache
-// when enabled (the query rng is then unused — pool content is a pure
-// function of seed, predicate key and epoch), else from the query rng
-// (already bound to the scratch sampler) into the scratch arena,
-// byte-identical to the historical influence.BatchCtx stream. The outcome
-// labels the step span: cache_hit/cache_miss through the cache, sampled
-// without one.
-func (e *Engine) sampleShared(ctx context.Context, sc *queryScratch, pk predKey) ([]*influence.RRGraph, string, error) {
-	count := e.p.Theta * e.g.N()
-	if e.cache != nil {
-		rrs, hit, err := e.cache.get(ctx, e, pk, count)
-		if hit {
-			return rrs, "cache_hit", err
-		}
-		return rrs, "cache_miss", err
-	}
-	rrs, err := influence.BatchIntoCtx(ctx, sc.sampler, count, sc.arena)
-	return rrs, "sampled", err
-}
-
-// sampleRestricted draws θ·|C_ℓ| RR graphs confined to C_ℓ, sources drawn
-// uniformly from the members by the query rng — the same draw order as the
-// historical CODL loop, arena-backed.
-func (e *Engine) sampleRestricted(ctx context.Context, sc *queryScratch, rec *core.Reclustering, rng *rand.Rand) ([]*influence.RRGraph, error) {
-	members := rec.Sub.ToParent
-	in := sc.memberMask(members)
-	member := func(u graph.NodeID) bool { return in[u] }
-	total := e.p.Theta * len(members)
-	sample := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
-	for i := 0; i < total; i++ {
-		if i%influence.PollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				sample.EndItems(i)
-				return nil, &influence.CanceledError{
-					Op: "engine: restricted rr sampling", Done: i, Total: total, Cause: err}
-			}
-		}
-		sc.sampler.RRGraphWithinInto(sc.arena, members[rng.IntN(len(members))], member)
-	}
-	sample.EndItems(total)
-	return sc.arena.Finalize(), nil
 }
 
 func communityFromChain(ch *core.Chain, res core.EvalResult) Community {

@@ -1,11 +1,13 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
 	"github.com/codsearch/cod/internal/core"
 	"github.com/codsearch/cod/internal/dataset"
+	"github.com/codsearch/cod/internal/engine"
 	"github.com/codsearch/cod/internal/graph"
 	"github.com/codsearch/cod/internal/hac"
 	"github.com/codsearch/cod/internal/hier"
@@ -78,7 +80,7 @@ func newEnv(cfg Config, buildIndex bool) (*env, error) {
 		return nil, fmt.Errorf("eval: clustering %s: %w", cfg.Dataset, err)
 	}
 	if buildIndex {
-		e.index = core.BuildHimor(e.g, e.tree, e.model, cfg.Theta, graph.NewRand(cfg.Seed^0xbeef))
+		e.index = e.buildIndex(graph.NewRand(cfg.Seed ^ 0xbeef))
 	}
 	e.queries = dataset.Queries(e.g, cfg.NumQueries, graph.NewRand(cfg.Seed^0xcafe))
 	e.glInfl = GlobalInfluences(e.g, cfg.Theta, graph.NewRand(cfg.Seed^0xfeed))
@@ -91,8 +93,27 @@ func (e *env) rng(salt uint64) *rand.Rand { return graph.NewRand(e.cfg.Seed ^ sa
 // effectiveness experiments (sampling is query-independent, so reuse is
 // unbiased per query; timing experiments sample per query instead).
 func (e *env) sharedPool(salt uint64) []*influence.RRGraph {
-	s := influence.NewSampler(e.g, e.model, e.rng(salt))
-	return s.Batch(e.cfg.Theta * e.g.N())
+	return samplePool(influence.NewSampler(e.g, e.model, e.rng(salt)), e.cfg.Theta*e.g.N())
+}
+
+// samplePool draws count RR graphs from uniform sources into a fresh arena.
+func samplePool(s influence.GraphSampler, count int) []*influence.RRGraph {
+	// A Background context never cancels, so the batch cannot fail.
+	rrs, _ := influence.BatchIntoCtx(context.Background(), s, count, influence.NewArena())
+	return rrs
+}
+
+// buildIndex builds the HIMOR index over the env's hierarchy from a pool of
+// θ·n RR graphs drawn from rng.
+func (e *env) buildIndex(rng *rand.Rand) *core.Himor {
+	pool := samplePool(influence.NewSampler(e.g, e.model, rng), e.cfg.Theta*e.g.N())
+	return core.BuildHimor(context.Background(), e.g, e.tree, pool, e.cfg.Theta)
+}
+
+// attrTrees returns an engine whose AttrTree serves CODR's per-attribute
+// reclustered hierarchies (cached across queries when asked to).
+func (e *env) attrTrees() *engine.Engine {
+	return engine.New(e.g, nil, nil, engine.Params{Beta: e.cfg.Beta, Linkage: e.cfg.Linkage}, engine.Config{})
 }
 
 // loreCache runs LORE for one query against the non-attributed tree. (The
@@ -147,10 +168,13 @@ func codlAnswer(e *env, lc *loreCache, q dataset.Query, ks []int, salt uint64) (
 			member := func(u graph.NodeID) bool { return in[u] }
 			rng := e.rng(salt ^ uint64(q.Node)<<16)
 			s := influence.NewSampler(e.g, e.model, rng)
-			rrs := make([]*influence.RRGraph, e.cfg.Theta*len(members))
-			for i := range rrs {
-				rrs[i] = s.RRGraphWithin(members[rng.IntN(len(members))], member)
-			}
+			a := influence.NewArena()
+			total := e.cfg.Theta * len(members)
+			// A Background context never cancels, so sampling cannot fail.
+			_ = influence.SampleRange(context.Background(), "eval: restricted rr sampling", 0, total, total, 1, func(_, _ int) {
+				s.RRGraphWithinInto(a, members[rng.IntN(len(members))], member)
+			})
+			rrs := a.Finalize()
 			for _, kk := range ks {
 				innerRes[kk] = core.CompressedEvaluate(inner, rrs, kk).Level
 			}

@@ -1,10 +1,11 @@
 package eval
 
 import (
+	"context"
+
 	"github.com/codsearch/cod/internal/acs"
 	"github.com/codsearch/cod/internal/core"
 	"github.com/codsearch/cod/internal/dataset"
-	"github.com/codsearch/cod/internal/engine"
 	"github.com/codsearch/cod/internal/graph"
 )
 
@@ -96,10 +97,9 @@ func RunEffectiveness(cfg Config) (*EffectivenessResult, error) {
 	}
 
 	// --- CODR: recluster g_ℓ per attribute (cached), shared sample pool.
-	codr := engine.NewCODR(e.g, engine.Params{K: 5, Theta: cfg.Theta, Beta: cfg.Beta, Linkage: cfg.Linkage})
-	codr.CacheHierarchies = true
+	codr := e.attrTrees()
 	for qi, q := range e.queries {
-		t, err := codr.Hierarchy(q.Attr)
+		t, err := codr.AttrTree(context.Background(), q.Attr, true)
 		if err != nil {
 			return nil, err
 		}
@@ -169,12 +169,11 @@ func RunFiveDeepest(cfg Config) (*Fig4Result, error) {
 	}
 
 	var uSums, rSums, lSums [5]float64
-	codr := engine.NewCODR(e.g, engine.Params{Theta: cfg.Theta, Beta: cfg.Beta, Linkage: cfg.Linkage})
-	codr.CacheHierarchies = true
+	codr := e.attrTrees()
 	lc := newLoreCache(e)
 	for _, q := range e.queries {
 		addChain(&uSums, core.ChainFromTree(e.tree, q.Node))
-		t, err := codr.Hierarchy(q.Attr)
+		t, err := codr.AttrTree(context.Background(), q.Attr, true)
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,10 @@
 package eval
 
 import (
+	"context"
 	"math/rand/v2"
 	"time"
 
-	"github.com/codsearch/cod/internal/core"
 	"github.com/codsearch/cod/internal/dataset"
 	"github.com/codsearch/cod/internal/engine"
 )
@@ -40,9 +40,13 @@ func RunRuntime(cfg Config, k int, limit time.Duration) ([]Fig9Row, error) {
 		return nil, err
 	}
 	params := engine.Params{K: k, Theta: cfg.Theta, Beta: cfg.Beta, Linkage: cfg.Linkage, Seed: cfg.Seed}
-	codl := engine.NewCODLWithTree(e.g, e.tree, e.index, params)
-	codr := engine.NewCODR(e.g, params)
-	codr.CacheHierarchies = false // CODR pays the reclustering on every query
+	// CODR pays the reclustering on every query: the engine's attribute-tree
+	// cache is off.
+	eng := engine.New(e.g, e.tree, e.index, params, engine.Config{})
+	query := func(v engine.Variant, q dataset.Query, rng *rand.Rand) error {
+		_, err := eng.Execute(context.Background(), eng.Compile(v, q.Node, q.Attr), rng)
+		return err
+	}
 
 	type queryFn func(q dataset.Query, rng *rand.Rand) error
 	run := func(method string, fn queryFn) Fig9Row {
@@ -65,16 +69,13 @@ func RunRuntime(cfg Config, k int, limit time.Duration) ([]Fig9Row, error) {
 
 	rows := []Fig9Row{
 		run(MethodCODL, func(q dataset.Query, rng *rand.Rand) error {
-			_, err := codl.Query(q.Node, q.Attr, rng)
-			return err
+			return query(engine.VariantCODL, q, rng)
 		}),
 		run(MethodCODLMinus, func(q dataset.Query, rng *rand.Rand) error {
-			_, err := codl.QueryNoIndex(q.Node, q.Attr, rng)
-			return err
+			return query(engine.VariantCODLNoIndex, q, rng)
 		}),
 		run(MethodCODR, func(q dataset.Query, rng *rand.Rand) error {
-			_, err := codr.Query(q.Node, q.Attr, rng)
-			return err
+			return query(engine.VariantCODR, q, rng)
 		}),
 	}
 	return rows, nil
@@ -98,7 +99,7 @@ func RunIndexOverhead(cfg Config) (*TableIIRow, error) {
 		return nil, err
 	}
 	start := time.Now()
-	idx := core.BuildHimor(e.g, e.tree, e.model, cfg.Theta, e.rng(0x7777))
+	idx := e.buildIndex(e.rng(0x7777))
 	build := time.Since(start)
 
 	// Input size: CSR adjacency (2m int32 + n+1 offsets), attributes, plus

@@ -6,6 +6,7 @@
 package im
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/codsearch/cod/internal/graph"
@@ -123,6 +124,7 @@ func Select(g *graph.Graph, pool []*influence.RRGraph, k int) (Result, error) {
 // model and greedily select k seeds.
 func Maximize(g *graph.Graph, model influence.Model, k, theta int, seed uint64) (Result, error) {
 	s := influence.NewSampler(g, model, graph.NewRand(seed))
-	pool := s.Batch(theta * g.N())
+	// A Background context never cancels, so the batch cannot fail.
+	pool, _ := influence.BatchIntoCtx(context.Background(), s, theta*g.N(), influence.NewArena())
 	return Select(g, pool, k)
 }

@@ -79,9 +79,8 @@ func (a *Arena) pushEdge(head, tail int32) {
 	a.live = append(a.live, arenaEdge{head, tail})
 }
 
-// endRR closes the open sample, bucketing its live edges into CSR form in
-// the shared Off/Adj arrays — the same layout RRGraphFrom builds, so the
-// resulting graphs are byte-identical to the allocating path.
+// endRR closes the open sample, bucketing its live edges by head position
+// into CSR form in the shared Off/Adj arrays (see RRGraph).
 func (a *Arena) endRR(base int) {
 	n := len(a.nodes) - base
 	offStart := len(a.off)
@@ -138,113 +137,4 @@ func (a *Arena) Finalize() []*RRGraph {
 		a.ptrs = append(a.ptrs, &a.hdr[i])
 	}
 	return a.ptrs
-}
-
-// ArenaSampler is implemented by samplers that can write samples into an
-// Arena instead of allocating them; both the IC Sampler and the LTSampler
-// qualify, so the engine can pool sampling buffers for either model. The
-// arena variants consume randomness in exactly the same order as their
-// allocating counterparts: given equal rng states the samples are
-// byte-identical (locked by TestArenaSamplingByteIdentical).
-type ArenaSampler interface {
-	GraphSampler
-	// RRGraphInto samples one RR graph from a uniform source into a.
-	RRGraphInto(a *Arena)
-	// RRGraphWithinInto samples one RR graph rooted at src confined to
-	// member nodes into a.
-	RRGraphWithinInto(a *Arena, src graph.NodeID, member func(graph.NodeID) bool)
-}
-
-var (
-	_ ArenaSampler = (*Sampler)(nil)
-	_ ArenaSampler = (*LTSampler)(nil)
-)
-
-// RRGraphInto samples one RR graph from a uniform source into a.
-func (s *Sampler) RRGraphInto(a *Arena) {
-	s.RRGraphFromInto(a, graph.NodeID(s.rng.IntN(s.g.N())))
-}
-
-// RRGraphFromInto is RRGraphFrom writing into a: same coin policy, same
-// randomness order, arena-backed storage.
-func (s *Sampler) RRGraphFromInto(a *Arena, src graph.NodeID) {
-	s.ver++
-	base := a.beginRR(src)
-	s.pos[src] = 0
-	s.epoch[src] = s.ver
-	for qi := 0; base+qi < len(a.nodes); qi++ {
-		v := a.nodes[base+qi]
-		for _, u := range s.g.Neighbors(v) {
-			if s.rng.Float64() >= s.model.Prob(u, v) {
-				continue
-			}
-			if s.epoch[u] != s.ver {
-				s.epoch[u] = s.ver
-				s.pos[u] = a.pushNode(base, u)
-			}
-			a.pushEdge(int32(qi), s.pos[u])
-		}
-	}
-	a.endRR(base)
-}
-
-// RRGraphWithinInto is RRGraphWithin writing into a.
-func (s *Sampler) RRGraphWithinInto(a *Arena, src graph.NodeID, member func(graph.NodeID) bool) {
-	s.ver++
-	base := a.beginRR(src)
-	s.pos[src] = 0
-	s.epoch[src] = s.ver
-	for qi := 0; base+qi < len(a.nodes); qi++ {
-		v := a.nodes[base+qi]
-		for _, u := range s.g.Neighbors(v) {
-			if !member(u) {
-				continue
-			}
-			if s.rng.Float64() >= s.model.Prob(u, v) {
-				continue
-			}
-			if s.epoch[u] != s.ver {
-				s.epoch[u] = s.ver
-				s.pos[u] = a.pushNode(base, u)
-			}
-			a.pushEdge(int32(qi), s.pos[u])
-		}
-	}
-	a.endRR(base)
-}
-
-// RRGraphInto samples one LT RR graph from a uniform source into a.
-func (s *LTSampler) RRGraphInto(a *Arena) {
-	s.rrWalkInto(a, graph.NodeID(s.rng.IntN(s.g.N())), nil)
-}
-
-// RRGraphWithinInto samples one LT RR graph rooted at src confined to
-// member nodes into a.
-func (s *LTSampler) RRGraphWithinInto(a *Arena, src graph.NodeID, member func(graph.NodeID) bool) {
-	s.rrWalkInto(a, src, member)
-}
-
-// rrWalkInto is the arena form of the LT reverse walk; member == nil means
-// unrestricted. Randomness order matches RRGraphFrom/RRGraphWithin exactly.
-func (s *LTSampler) rrWalkInto(a *Arena, src graph.NodeID, member func(graph.NodeID) bool) {
-	s.ver++
-	base := a.beginRR(src)
-	s.pos[src] = 0
-	s.epoch[src] = s.ver
-	cur := src
-	for {
-		u := s.pickInNeighbor(cur)
-		if u < 0 || (member != nil && !member(u)) {
-			break
-		}
-		if s.epoch[u] == s.ver {
-			a.pushEdge(s.pos[cur], s.pos[u])
-			break
-		}
-		s.epoch[u] = s.ver
-		s.pos[u] = a.pushNode(base, u)
-		a.pushEdge(s.pos[cur], s.pos[u])
-		cur = u
-	}
-	a.endRR(base)
 }

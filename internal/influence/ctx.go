@@ -3,6 +3,7 @@ package influence
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"github.com/codsearch/cod/internal/obs"
 )
@@ -36,43 +37,77 @@ func (e *CanceledError) Error() string {
 // Unwrap exposes the underlying context error.
 func (e *CanceledError) Unwrap() error { return e.Cause }
 
-// BatchCtx samples count RR graphs from s, checking ctx.Err() every
-// PollEvery samples. On cancellation it returns the samples completed so far
-// together with a *CanceledError. An uncancelled call is byte-identical to
-// s.Batch(count): the polling consumes no randomness.
-func BatchCtx(ctx context.Context, s GraphSampler, count int) ([]*RRGraph, error) {
+// SampleRange is the one Monte-Carlo sampling loop: it calls draw(w, i) for
+// every sample index i in [lo, hi), split into contiguous per-worker ranges
+// in worker order (worker w draws its range in ascending i; w indexes
+// per-worker sampler and arena state). workers <= 1 draws inline on the
+// calling goroutine; more workers each run on their own goroutine, at most
+// one per sample. Each worker checks ctx.Err() before its first draw and
+// once per PollEvery draws after that, and stops when the context is done;
+// the check consumes no randomness, so an uncancelled run draws exactly
+// what an unpolled loop would.
+//
+// The call is one rr_sample span whose item count is the number of
+// completed draws, flushed even when a cancel lands mid-range. On
+// cancellation SampleRange returns a *CanceledError with Op op, Done = lo
+// plus the completed draws, and Total total; with one worker the completed
+// draws are exactly [lo, Done).
+func SampleRange(ctx context.Context, op string, lo, hi, total, workers int, draw func(w, i int)) error {
+	count := max(hi-lo, 0)
+	workers = max(1, min(workers, count))
 	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
-	out := make([]*RRGraph, 0, count)
-	for i := 0; i < count; i++ {
-		if i%PollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				span.EndItems(i)
-				return out, &CanceledError{Op: "influence: rr batch", Done: i, Total: count, Cause: err}
+	run := func(w, from, to int) (int, error) {
+		for i := from; i < to; i++ {
+			if (i-from)%PollEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return i - from, err
+				}
+			}
+			draw(w, i)
+		}
+		return to - from, nil
+	}
+	var done int
+	var cause error
+	if workers == 1 {
+		done, cause = run(0, lo, lo+count)
+	} else {
+		dones := make([]int, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		start := lo
+		for w := 0; w < workers; w++ {
+			n := count / workers
+			if w < count%workers {
+				n++
+			}
+			wg.Add(1)
+			go func(w, from, to int) {
+				defer wg.Done()
+				dones[w], errs[w] = run(w, from, to)
+			}(w, start, start+n)
+			start += n
+		}
+		wg.Wait()
+		for w := range dones {
+			done += dones[w]
+			if cause == nil {
+				cause = errs[w]
 			}
 		}
-		out = append(out, s.RRGraph())
 	}
-	span.EndItems(count)
-	return out, nil
+	span.EndItems(done)
+	if cause != nil {
+		return &CanceledError{Op: op, Done: lo + done, Total: total, Cause: cause}
+	}
+	return nil
 }
 
-// BatchIntoCtx is BatchCtx writing every sample into a instead of
-// allocating: same polling cadence, same span, same randomness order, so the
-// finalized RR graphs are byte-identical to BatchCtx's for equal rng states.
-// The returned slice aliases the arena (see Arena's ownership contract). On
-// cancellation the samples completed so far are returned with the
-// *CanceledError.
-func BatchIntoCtx(ctx context.Context, s ArenaSampler, count int, a *Arena) ([]*RRGraph, error) {
-	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
-	for i := 0; i < count; i++ {
-		if i%PollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				span.EndItems(i)
-				return a.Finalize(), &CanceledError{Op: "influence: rr batch", Done: i, Total: count, Cause: err}
-			}
-		}
-		s.RRGraphInto(a)
-	}
-	span.EndItems(count)
-	return a.Finalize(), nil
+// BatchIntoCtx samples count RR graphs from uniform sources into a, checking
+// ctx.Err() every PollEvery samples (see SampleRange). The returned slice
+// aliases the arena (see Arena's ownership contract). On cancellation the
+// samples completed so far are returned with the *CanceledError.
+func BatchIntoCtx(ctx context.Context, s GraphSampler, count int, a *Arena) ([]*RRGraph, error) {
+	err := SampleRange(ctx, "influence: rr batch", 0, count, count, 1, func(_, _ int) { s.RRGraphInto(a) })
+	return a.Finalize(), err
 }

@@ -65,7 +65,7 @@ func TestRRGraphStructure(t *testing.T) {
 	g := graph.ErdosRenyi(60, 180, graph.NewRand(4))
 	s := NewSampler(g, NewWeightedCascade(g), graph.NewRand(5))
 	for i := 0; i < 200; i++ {
-		r := s.RRGraph()
+		r := sampleOne(s)
 		if r.Len() == 0 {
 			t.Fatal("empty RR graph")
 		}
@@ -91,7 +91,7 @@ func TestRRGraphStructure(t *testing.T) {
 func TestRRGraphP1IsComponent(t *testing.T) {
 	g := lineGraph(t, 5)
 	s := NewSampler(g, Uniform{P: 1}, graph.NewRand(6))
-	r := s.RRGraphFrom(2)
+	r := sampleWithin(s, 2, nil)
 	if r.Len() != 5 {
 		t.Errorf("p=1 RR graph has %d nodes, want 5", r.Len())
 	}
@@ -111,7 +111,7 @@ func TestRREstimateMatchesMonteCarlo(t *testing.T) {
 	model := NewWeightedCascade(g)
 	s := NewSampler(g, model, graph.NewRand(8))
 	const theta = 60000
-	rrs := s.Batch(theta)
+	rrs := batch(t, s, theta)
 	counts := EstimateAll(g, rrs)
 	mcRng := graph.NewRand(9)
 	for _, v := range []graph.NodeID{0, 7, 23} {
@@ -129,7 +129,7 @@ func TestRREstimateMatchesMonteCarlo(t *testing.T) {
 func TestInducedRRGraphP1(t *testing.T) {
 	g := lineGraph(t, 7)
 	s := NewSampler(g, Uniform{P: 1}, graph.NewRand(10))
-	r := s.RRGraphFrom(3)
+	r := sampleWithin(s, 3, nil)
 	// restrict to {2,3,4}: reachable must be exactly those
 	keep := map[graph.NodeID]bool{2: true, 3: true, 4: true}
 	reach := r.ReachableWithin(func(v graph.NodeID) bool { return keep[v] })
@@ -165,7 +165,7 @@ func TestRestrictedSampling(t *testing.T) {
 				t.Fatalf("RRSetWithin escaped restriction: %d", v)
 			}
 		}
-		r := s.RRGraphWithin(graph.NodeID(i%20), member)
+		r := sampleWithin(s, graph.NodeID(i%20), member)
 		for _, v := range r.Nodes {
 			if v >= 20 {
 				t.Fatalf("RRGraphWithin escaped restriction: %d", v)
@@ -183,8 +183,8 @@ func TestRestrictedEqualsUnrestricted(t *testing.T) {
 	all := func(graph.NodeID) bool { return true }
 	for i := 0; i < 50; i++ {
 		src := graph.NodeID(i % 30)
-		r1 := s1.RRGraphFrom(src)
-		r2 := s2.RRGraphWithin(src, all)
+		r1 := sampleWithin(s1, src, nil)
+		r2 := sampleWithin(s2, src, all)
 		if r1.Len() != r2.Len() || r1.NumEdges() != r2.NumEdges() {
 			t.Fatalf("restricted(all) differs from unrestricted at %d", i)
 		}
@@ -196,15 +196,6 @@ func TestRestrictedEqualsUnrestricted(t *testing.T) {
 	}
 }
 
-func TestSpreadWithin(t *testing.T) {
-	g := lineGraph(t, 6)
-	rng := graph.NewRand(15)
-	got := SpreadWithin(g, Uniform{P: 1}, 2, func(v graph.NodeID) bool { return v >= 1 && v <= 4 }, rng)
-	if got != 4 {
-		t.Errorf("SpreadWithin = %d, want 4", got)
-	}
-}
-
 // Property: RR graph node lists never contain duplicates and the source is
 // always first.
 func TestRRGraphProperty(t *testing.T) {
@@ -212,7 +203,7 @@ func TestRRGraphProperty(t *testing.T) {
 	s := NewSampler(g, NewWeightedCascade(g), graph.NewRand(17))
 	check := func(srcRaw uint8) bool {
 		src := graph.NodeID(int(srcRaw) % g.N())
-		r := s.RRGraphFrom(src)
+		r := sampleWithin(s, src, nil)
 		if r.Source() != src {
 			return false
 		}

@@ -28,11 +28,6 @@ type UniformLT struct{ G *graph.Graph }
 // Weight implements LTWeights.
 func (w UniformLT) Weight(_, v graph.NodeID) float64 { return 1 / float64(w.G.Degree(v)) }
 
-var (
-	_ GraphSampler = (*Sampler)(nil)
-	_ GraphSampler = (*LTSampler)(nil)
-)
-
 // LTSampler generates RR sets and RR graphs under the LT model. Like
 // Sampler it is single-goroutine; use one per worker.
 type LTSampler struct {
@@ -51,7 +46,7 @@ func NewLTSampler(g *graph.Graph, w LTWeights, rng *rand.Rand) *LTSampler {
 		pos: make([]int32, g.N()), epoch: make([]int32, g.N())}
 }
 
-// SetRand rebinds the sampler to rng (see Sampler.SetRand).
+// SetRand implements GraphSampler.
 func (s *LTSampler) SetRand(rng *rand.Rand) { s.rng = rng }
 
 // pickInNeighbor samples v's live in-edge tail, or -1 when v selects no one.
@@ -67,108 +62,45 @@ func (s *LTSampler) pickInNeighbor(v graph.NodeID) graph.NodeID {
 	return -1
 }
 
-// RRGraph samples one LT RR graph from a uniform random source.
-func (s *LTSampler) RRGraph() *RRGraph {
-	return s.RRGraphFrom(graph.NodeID(s.rng.IntN(s.g.N())))
+// RRGraphInto samples one LT RR graph from a uniform source into a.
+func (s *LTSampler) RRGraphInto(a *Arena) {
+	s.rrWalkInto(a, graph.NodeID(s.rng.IntN(s.g.N())), nil)
 }
 
-// RRGraphFrom samples the LT RR graph rooted at src: the reverse walk along
-// each node's single live in-edge, stopped at the first revisit.
-func (s *LTSampler) RRGraphFrom(src graph.NodeID) *RRGraph {
+// RRGraphWithinInto samples one LT RR graph rooted at src into a, confined
+// to member nodes (nil = unrestricted).
+func (s *LTSampler) RRGraphWithinInto(a *Arena, src graph.NodeID, member func(graph.NodeID) bool) {
+	s.rrWalkInto(a, src, member)
+}
+
+// rrWalkInto samples the LT RR graph rooted at src: the reverse walk along
+// each node's single live in-edge, stopped at the first revisit (whose
+// closing edge is recorded). With member != nil the live in-edge of each
+// node is still chosen globally (the possible world does not depend on the
+// community), but the walk stops as soon as the chosen tail leaves the
+// restriction, matching the induced RR graph semantics of Definition 3 for
+// the LT live-edge worlds.
+func (s *LTSampler) rrWalkInto(a *Arena, src graph.NodeID, member func(graph.NodeID) bool) {
 	s.ver++
-	r := &RRGraph{Nodes: []graph.NodeID{src}}
+	base := a.beginRR(src)
 	s.pos[src] = 0
 	s.epoch[src] = s.ver
-
-	type liveEdge struct{ headPos, tail int32 }
-	var live []liveEdge
 	cur := src
 	for {
 		u := s.pickInNeighbor(cur)
-		if u < 0 {
+		if u < 0 || (member != nil && !member(u)) {
 			break
 		}
 		if s.epoch[u] == s.ver {
-			// cycle: record the closing edge, the walk cannot grow further
-			live = append(live, liveEdge{s.pos[cur], s.pos[u]})
+			a.pushEdge(s.pos[cur], s.pos[u])
 			break
 		}
 		s.epoch[u] = s.ver
-		s.pos[u] = int32(len(r.Nodes))
-		live = append(live, liveEdge{s.pos[cur], s.pos[u]})
-		r.Nodes = append(r.Nodes, u)
+		s.pos[u] = a.pushNode(base, u)
+		a.pushEdge(s.pos[cur], s.pos[u])
 		cur = u
 	}
-	r.Off = make([]int32, len(r.Nodes)+1)
-	for _, e := range live {
-		r.Off[e.headPos+1]++
-	}
-	for i := 1; i <= len(r.Nodes); i++ {
-		r.Off[i] += r.Off[i-1]
-	}
-	r.Adj = make([]int32, len(live))
-	cursor := make([]int32, len(r.Nodes))
-	copy(cursor, r.Off[:len(r.Nodes)])
-	for _, e := range live {
-		r.Adj[cursor[e.headPos]] = e.tail
-		cursor[e.headPos]++
-	}
-	return r
-}
-
-// RRGraphWithin samples the LT RR graph rooted at src confined to member
-// nodes: the live in-edge of each node is chosen globally (the possible
-// world does not depend on the community), but the reverse walk stops as
-// soon as the chosen tail leaves the restriction — matching the induced
-// RR graph semantics of Definition 3 for the LT live-edge worlds.
-func (s *LTSampler) RRGraphWithin(src graph.NodeID, member func(graph.NodeID) bool) *RRGraph {
-	s.ver++
-	r := &RRGraph{Nodes: []graph.NodeID{src}}
-	s.pos[src] = 0
-	s.epoch[src] = s.ver
-
-	type liveEdge struct{ headPos, tail int32 }
-	var live []liveEdge
-	cur := src
-	for {
-		u := s.pickInNeighbor(cur)
-		if u < 0 || !member(u) {
-			break
-		}
-		if s.epoch[u] == s.ver {
-			live = append(live, liveEdge{s.pos[cur], s.pos[u]})
-			break
-		}
-		s.epoch[u] = s.ver
-		s.pos[u] = int32(len(r.Nodes))
-		live = append(live, liveEdge{s.pos[cur], s.pos[u]})
-		r.Nodes = append(r.Nodes, u)
-		cur = u
-	}
-	r.Off = make([]int32, len(r.Nodes)+1)
-	for _, e := range live {
-		r.Off[e.headPos+1]++
-	}
-	for i := 1; i <= len(r.Nodes); i++ {
-		r.Off[i] += r.Off[i-1]
-	}
-	r.Adj = make([]int32, len(live))
-	cursor := make([]int32, len(r.Nodes))
-	copy(cursor, r.Off[:len(r.Nodes)])
-	for _, e := range live {
-		r.Adj[cursor[e.headPos]] = e.tail
-		cursor[e.headPos]++
-	}
-	return r
-}
-
-// Batch samples count LT RR graphs.
-func (s *LTSampler) Batch(count int) []*RRGraph {
-	out := make([]*RRGraph, count)
-	for i := range out {
-		out[i] = s.RRGraph()
-	}
-	return out
+	a.endRR(base)
 }
 
 // SpreadLT runs one forward LT simulation from seed: thresholds are drawn

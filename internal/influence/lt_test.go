@@ -25,7 +25,7 @@ func TestLTRRGraphIsReversePath(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, graph.NewRand(2))
 	s := NewLTSampler(g, UniformLT{G: g}, graph.NewRand(3))
 	for i := 0; i < 300; i++ {
-		r := s.RRGraph()
+		r := sampleOne(s)
 		if r.Len() == 0 {
 			t.Fatal("empty LT RR graph")
 		}
@@ -64,7 +64,7 @@ func TestLTEstimateMatchesForwardSimulation(t *testing.T) {
 	const theta = 60000
 	counts := make([]int, g.N())
 	for i := 0; i < theta; i++ {
-		for _, v := range s.RRGraph().Nodes {
+		for _, v := range sampleOne(s).Nodes {
 			counts[v]++
 		}
 	}
@@ -85,8 +85,8 @@ func TestLTEstimateMatchesForwardSimulation(t *testing.T) {
 
 func TestLTSamplerDeterminism(t *testing.T) {
 	g := graph.ErdosRenyi(25, 70, graph.NewRand(7))
-	a := NewLTSampler(g, UniformLT{G: g}, graph.NewRand(8)).Batch(50)
-	b := NewLTSampler(g, UniformLT{G: g}, graph.NewRand(8)).Batch(50)
+	a := batch(t, NewLTSampler(g, UniformLT{G: g}, graph.NewRand(8)), 50)
+	b := batch(t, NewLTSampler(g, UniformLT{G: g}, graph.NewRand(8)), 50)
 	for i := range a {
 		if a[i].Len() != b[i].Len() || a[i].Source() != b[i].Source() {
 			t.Fatalf("batch %d differs", i)

@@ -3,98 +3,42 @@ package influence
 import (
 	"context"
 	"math/rand/v2"
-	"sync"
-	"sync/atomic"
 
 	"github.com/codsearch/cod/internal/graph"
-	"github.com/codsearch/cod/internal/obs"
 )
 
-// ParallelBatch samples count RR graphs across workers goroutines. Each
-// sample i draws from its own PRNG stream seeded by graph.ItemSeed(seed, i),
-// so out[i] depends only on (g, model, seed, i): the result is byte-for-byte
-// identical for any worker count or goroutine schedule. Workers reuse one
-// Sampler (its scratch arrays are O(|V|)) and reseed its source per sample.
-func ParallelBatch(g *graph.Graph, model Model, count int, seed uint64, workers int) []*RRGraph {
-	out, _ := ParallelBatchCtx(context.Background(), g, model, count, seed, workers)
-	return out
-}
-
-// ParallelBatchCtx is ParallelBatch with bounded-interval cancellation:
-// every worker checks ctx.Err() once per PollEvery samples and stops early
-// when the context is done. An uncancelled call returns the same pool as
-// ParallelBatch for the same arguments; a canceled call returns a
-// *CanceledError counting the samples that completed across all workers
-// (the pool slice has holes, so it is withheld). The fan-in always flushes
-// the completed-sample total through the context Recorder — on early cancel
-// the per-worker counts used to vanish with the discarded pool, which left
-// metrics blind to how much sampling a shed query had already paid for.
-func ParallelBatchCtx(ctx context.Context, g *graph.Graph, model Model, count int, seed uint64, workers int) ([]*RRGraph, error) {
-	return ParallelBatchRangeCtx(ctx, g, model, 0, count, seed, workers)
-}
-
-// ParallelBatchRangeCtx samples items [lo, hi) of the per-item-seeded pool
-// defined by (g, model, seed): out[j] is sample lo+j, drawn from the PRNG
-// stream seeded by graph.ItemSeed(seed, lo+j). Because every item owns its
-// stream, call boundaries are invisible — sampling [0, c₁), [c₁, c₂), …,
-// [cₖ, total) stage by stage concatenates to the byte-identical pool a
-// single [0, total) call produces. This is the stage-resumable parallel
-// primitive behind adaptive evaluation's geometric schedule.
+// ParallelBatchCtx samples count IC RR graphs across workers goroutines,
+// each writing into its own arena. Sample i draws from its own PRNG stream
+// seeded by graph.ItemSeed(seed, i), so out[i] depends only on (g, model,
+// seed, i): the pool is byte-for-byte identical for any worker count or
+// goroutine schedule. Each worker reuses one Sampler (its scratch arrays are
+// O(|V|)) and reseeds its source per sample.
 //
-// Each stage call is its own rr_sample span, and the fan-in flushes the
-// stage's completed-sample count through the context Recorder even when a
-// cancel lands mid-stage — the same partial-progress contract as the
-// non-staged path, with Done/Total in *CanceledError scoped to this call's
-// range so staged callers can sum spans without double-counting.
-func ParallelBatchRangeCtx(ctx context.Context, g *graph.Graph, model Model, lo, hi int, seed uint64, workers int) ([]*RRGraph, error) {
-	count := hi - lo
-	if count < 0 {
-		count = 0
+// Every worker polls ctx.Err() once per PollEvery samples (see SampleRange).
+// A canceled call returns a *CanceledError counting the samples completed
+// across all workers (the pool has holes, so it is withheld); the rr_sample
+// span carries that count either way.
+func ParallelBatchCtx(ctx context.Context, g *graph.Graph, model Model, count int, seed uint64, workers int) ([]*RRGraph, error) {
+	type worker struct {
+		src *rand.PCG
+		s   *Sampler
+		a   *Arena
 	}
-	if workers < 1 {
-		workers = 1
+	ws := make([]worker, max(1, min(workers, count)))
+	for w := range ws {
+		src := graph.NewPCG(0)
+		ws[w] = worker{src: src, s: NewSampler(g, model, rand.New(src)), a: NewArena()}
 	}
-	if workers > count {
-		workers = count
+	err := SampleRange(ctx, "influence: parallel rr batch", 0, count, count, len(ws), func(w, i int) {
+		graph.SeedPCG(ws[w].src, graph.ItemSeed(seed, i))
+		ws[w].s.RRGraphInto(ws[w].a)
+	})
+	if err != nil {
+		return nil, err
 	}
-	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
-	out := make([]*RRGraph, count)
-	if count == 0 {
-		span.EndItems(0)
-		return out, nil
-	}
-	per := count / workers
-	extra := count % workers
-	var done atomic.Int64
-	var wg sync.WaitGroup
-	start := 0
-	for w := 0; w < workers; w++ {
-		n := per
-		if w < extra {
-			n++
-		}
-		wlo, whi := start, start+n
-		start = whi
-		wg.Add(1)
-		go func(wlo, whi int) {
-			defer wg.Done()
-			src := graph.NewPCG(0)
-			s := NewSampler(g, model, rand.New(src))
-			for j := wlo; j < whi; j++ {
-				if (j-wlo)%PollEvery == 0 && ctx.Err() != nil {
-					return
-				}
-				graph.SeedPCG(src, graph.ItemSeed(seed, lo+j))
-				out[j] = s.RRGraph()
-				done.Add(1)
-			}
-		}(wlo, whi)
-	}
-	wg.Wait()
-	span.EndItems(int(done.Load()))
-	if err := ctx.Err(); err != nil && int(done.Load()) < count {
-		return nil, &CanceledError{Op: "influence: parallel rr batch",
-			Done: int(done.Load()), Total: count, Cause: err}
+	out := make([]*RRGraph, 0, count)
+	for _, w := range ws {
+		out = append(out, w.a.Finalize()...)
 	}
 	return out, nil
 }

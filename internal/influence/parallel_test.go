@@ -14,8 +14,8 @@ import (
 func TestParallelBatchDeterministic(t *testing.T) {
 	g := graph.ErdosRenyi(50, 150, graph.NewRand(1))
 	model := NewWeightedCascade(g)
-	a := ParallelBatch(g, model, 200, 7, 4)
-	b := ParallelBatch(g, model, 200, 7, 4)
+	a := parallelBatch(t, g, model, 200, 7, 4)
+	b := parallelBatch(t, g, model, 200, 7, 4)
 	if len(a) != 200 || len(b) != 200 {
 		t.Fatalf("lengths %d %d", len(a), len(b))
 	}
@@ -27,6 +27,16 @@ func TestParallelBatchDeterministic(t *testing.T) {
 			t.Fatalf("sample %d differs across runs", i)
 		}
 	}
+}
+
+// parallelBatch is an uncancelled ParallelBatchCtx.
+func parallelBatch(t *testing.T, g *graph.Graph, model Model, count int, seed uint64, workers int) []*RRGraph {
+	t.Helper()
+	rrs, err := ParallelBatchCtx(context.Background(), g, model, count, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rrs
 }
 
 // rrBytes serializes a batch of RR graphs exactly (nodes, offsets, adjacency),
@@ -46,9 +56,9 @@ func rrBytes(t *testing.T, rrs []*RRGraph) string {
 func TestParallelBatchWorkerCountInvariant(t *testing.T) {
 	g := graph.BarabasiAlbert(60, 3, graph.NewRand(4))
 	model := NewWeightedCascade(g)
-	want := rrBytes(t, ParallelBatch(g, model, 300, 11, 1))
+	want := rrBytes(t, parallelBatch(t, g, model, 300, 11, 1))
 	for _, workers := range []int{2, 3, 8} {
-		got := rrBytes(t, ParallelBatch(g, model, 300, 11, workers))
+		got := rrBytes(t, parallelBatch(t, g, model, 300, 11, workers))
 		if got != want {
 			t.Fatalf("workers=%d batch differs from sequential batch", workers)
 		}
@@ -58,13 +68,13 @@ func TestParallelBatchWorkerCountInvariant(t *testing.T) {
 func TestParallelBatchEdgeCases(t *testing.T) {
 	g := graph.ErdosRenyi(10, 20, graph.NewRand(2))
 	model := NewWeightedCascade(g)
-	if got := ParallelBatch(g, model, 0, 1, 4); len(got) != 0 {
+	if got := parallelBatch(t, g, model, 0, 1, 4); len(got) != 0 {
 		t.Error("count 0 should return empty")
 	}
-	if got := ParallelBatch(g, model, 3, 1, 16); len(got) != 3 {
+	if got := parallelBatch(t, g, model, 3, 1, 16); len(got) != 3 {
 		t.Error("workers > count mishandled")
 	}
-	if got := ParallelBatch(g, model, 5, 1, 0); len(got) != 5 {
+	if got := parallelBatch(t, g, model, 5, 1, 0); len(got) != 5 {
 		t.Error("workers 0 mishandled")
 	}
 }
@@ -145,7 +155,7 @@ func TestParallelBatchCtxCompleteFlushesSampleCounts(t *testing.T) {
 func TestParallelBatchStatisticallySane(t *testing.T) {
 	g := graph.BarabasiAlbert(40, 2, graph.NewRand(3))
 	model := NewWeightedCascade(g)
-	rrs := ParallelBatch(g, model, 4000, 9, 8)
+	rrs := parallelBatch(t, g, model, 4000, 9, 8)
 	counts := EstimateAll(g, rrs)
 	// node 0 is a hub in BA graphs: its count should be well above average
 	avg := 0

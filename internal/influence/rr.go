@@ -33,24 +33,33 @@ func (r *RRGraph) Len() int { return len(r.Nodes) }
 // NumEdges returns the number of live edges recorded in the RR graph.
 func (r *RRGraph) NumEdges() int { return len(r.Adj) }
 
-// GraphSampler is the sampling interface the COD pipelines depend on; both
-// the IC Sampler and the LTSampler implement it, which is how the framework
-// supports multiple influence models (§II, "Influence Models").
+// GraphSampler is the one RR-graph sampling interface of the COD pipelines.
+// Both the IC Sampler and the LTSampler implement it, which is how the
+// framework supports multiple influence models (§II, "Influence Models").
+// Samples are written into an Arena (see its ownership contract); a caller
+// that wants standalone RR graphs samples into a fresh arena and finalizes
+// it. A sampler is single-goroutine; use one per worker.
 type GraphSampler interface {
-	// RRGraph samples one RR graph from a uniform random source.
-	RRGraph() *RRGraph
-	// RRGraphFrom samples one RR graph rooted at src.
-	RRGraphFrom(src graph.NodeID) *RRGraph
-	// RRGraphWithin samples one RR graph rooted at src with propagation
-	// confined to member nodes (original probabilities).
-	RRGraphWithin(src graph.NodeID, member func(graph.NodeID) bool) *RRGraph
-	// Batch samples count RR graphs from uniform random sources.
-	Batch(count int) []*RRGraph
+	// RRGraphInto samples one RR graph from a uniform random source into a.
+	RRGraphInto(a *Arena)
+	// RRGraphWithinInto samples one RR graph rooted at src into a, with
+	// propagation confined to member nodes under the original
+	// probabilities. A nil member means unrestricted.
+	RRGraphWithinInto(a *Arena, src graph.NodeID, member func(graph.NodeID) bool)
+	// SetRand rebinds the sampler to rng. A pooled sampler keeps its
+	// per-graph visited marks and serves successive queries that each carry
+	// their own deterministic stream.
+	SetRand(rng *rand.Rand)
 }
 
-// Sampler generates RR sets and RR graphs for one (graph, model) pair. It is
-// not safe for concurrent use; create one Sampler per goroutine, each with
-// its own rng.
+var (
+	_ GraphSampler = (*Sampler)(nil)
+	_ GraphSampler = (*LTSampler)(nil)
+)
+
+// Sampler generates RR sets and RR graphs for one (graph, model) pair under
+// the IC model. It is not safe for concurrent use; create one Sampler per
+// goroutine, each with its own rng.
 type Sampler struct {
 	g     *graph.Graph
 	model Model
@@ -70,9 +79,7 @@ func NewSampler(g *graph.Graph, model Model, rng *rand.Rand) *Sampler {
 	return s
 }
 
-// SetRand rebinds the sampler to rng. A pooled sampler keeps its per-graph
-// visited marks and serves successive queries that each carry their own
-// deterministic stream.
+// SetRand implements GraphSampler.
 func (s *Sampler) SetRand(rng *rand.Rand) { s.rng = rng }
 
 // RRSet samples one RR set: the source plus every node that reverse-reaches
@@ -102,61 +109,68 @@ func (s *Sampler) RRSetFrom(src graph.NodeID) []graph.NodeID {
 	return nodes
 }
 
-// RRGraph samples one RR graph from a uniform source.
-func (s *Sampler) RRGraph() *RRGraph {
-	return s.RRGraphFrom(graph.NodeID(s.rng.IntN(s.g.N())))
+// RRSetWithin samples an RR set rooted at src where propagation may only
+// traverse nodes for which member reports true, keeping the *original* edge
+// probabilities of the full graph (the paper's σ_C(v) restricts propagation
+// to C but does not re-normalize p(u,v)). src must be a member.
+func (s *Sampler) RRSetWithin(src graph.NodeID, member func(graph.NodeID) bool) []graph.NodeID {
+	s.ver++
+	nodes := []graph.NodeID{src}
+	s.epoch[src] = s.ver
+	for qi := 0; qi < len(nodes); qi++ {
+		v := nodes[qi]
+		for _, u := range s.g.Neighbors(v) {
+			if s.epoch[u] == s.ver || !member(u) {
+				continue
+			}
+			if s.rng.Float64() < s.model.Prob(u, v) {
+				s.epoch[u] = s.ver
+				nodes = append(nodes, u)
+			}
+		}
+	}
+	return nodes
 }
 
-// RRGraphFrom samples one RR graph rooted at src. Every in-edge (u, v) of
-// every visited v gets an independent liveness coin with probability
-// p(u, v); live edges are recorded even when u was already visited.
-func (s *Sampler) RRGraphFrom(src graph.NodeID) *RRGraph {
+// RRGraphInto samples one RR graph from a uniform source into a.
+func (s *Sampler) RRGraphInto(a *Arena) {
+	s.rrInto(a, graph.NodeID(s.rng.IntN(s.g.N())), nil)
+}
+
+// RRGraphWithinInto samples one RR graph rooted at src into a, confined to
+// member nodes (nil = unrestricted).
+func (s *Sampler) RRGraphWithinInto(a *Arena, src graph.NodeID, member func(graph.NodeID) bool) {
+	s.rrInto(a, src, member)
+}
+
+// rrInto samples the RR graph rooted at src; member == nil means
+// unrestricted. Every in-edge (u, v) of every visited v whose tail is a
+// member gets an independent liveness coin with probability p(u, v); live
+// edges are recorded even when u was already visited, so induced RR graphs
+// over sub-communities of the restriction stay faithful (Theorem 2).
+// Non-members are skipped before their coin is drawn.
+func (s *Sampler) rrInto(a *Arena, src graph.NodeID, member func(graph.NodeID) bool) {
 	s.ver++
-	r := &RRGraph{Nodes: []graph.NodeID{src}}
+	base := a.beginRR(src)
 	s.pos[src] = 0
 	s.epoch[src] = s.ver
-
-	type liveEdge struct{ headPos, tail int32 }
-	var live []liveEdge
-	for qi := 0; qi < len(r.Nodes); qi++ {
-		v := r.Nodes[qi]
+	for qi := 0; base+qi < len(a.nodes); qi++ {
+		v := a.nodes[base+qi]
 		for _, u := range s.g.Neighbors(v) {
+			if member != nil && !member(u) {
+				continue
+			}
 			if s.rng.Float64() >= s.model.Prob(u, v) {
 				continue
 			}
 			if s.epoch[u] != s.ver {
 				s.epoch[u] = s.ver
-				s.pos[u] = int32(len(r.Nodes))
-				r.Nodes = append(r.Nodes, u)
+				s.pos[u] = a.pushNode(base, u)
 			}
-			live = append(live, liveEdge{int32(qi), s.pos[u]})
+			a.pushEdge(int32(qi), s.pos[u])
 		}
 	}
-	// Bucket live edges by head position into CSR form.
-	r.Off = make([]int32, len(r.Nodes)+1)
-	for _, e := range live {
-		r.Off[e.headPos+1]++
-	}
-	for i := 1; i <= len(r.Nodes); i++ {
-		r.Off[i] += r.Off[i-1]
-	}
-	r.Adj = make([]int32, len(live))
-	cursor := make([]int32, len(r.Nodes))
-	copy(cursor, r.Off[:len(r.Nodes)])
-	for _, e := range live {
-		r.Adj[cursor[e.headPos]] = e.tail
-		cursor[e.headPos]++
-	}
-	return r
-}
-
-// Batch samples count RR graphs.
-func (s *Sampler) Batch(count int) []*RRGraph {
-	out := make([]*RRGraph, count)
-	for i := range out {
-		out[i] = s.RRGraph()
-	}
-	return out
+	a.endRR(base)
 }
 
 // EstimateAll counts, for every node, the number of RR graphs containing a

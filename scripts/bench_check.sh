@@ -4,19 +4,21 @@
 # and validates it with codbench -check-bench. When a baseline report is
 # present, the fresh report is also diffed against it (-compare-bench):
 # ns/op and allocs/op are aggregated by min across the -count runs and a
-# >25% regression on a shared benchmark fails the script. Benchmarks only
-# in one report are printed as notes. Otherwise this stays a
+# >25% regression on a shared benchmark fails the script, and every
+# deterministic quality metric (CODL-5th, CODL-rho, precision, ...; all
+# units but the timing-derived ones) must equal the baseline exactly.
+# Benchmarks only in one report are printed as notes. Otherwise this stays a
 # well-formedness gate — it fails loudly when the benchmarks stop
 # producing parseable output.
 #
 #   scripts/bench_check.sh [out.json] [baseline.json]
-#   # defaults: BENCH_pr10.json vs baseline BENCH_pr9.json (skipped if absent)
+#   # defaults: BENCH_pr12.json vs baseline BENCH_pr10.json (skipped if absent)
 #
 # Run via `make bench-check`; needs only the go toolchain.
 set -eu
 
-out="${1:-BENCH_pr10.json}"
-baseline="${2:-BENCH_pr9.json}"
+out="${1:-BENCH_pr12.json}"
+baseline="${2:-BENCH_pr10.json}"
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
@@ -32,9 +34,11 @@ fail() {
 echo "bench-check: building codbench"
 go build -o "$workdir/codbench" ./cmd/codbench || fail "codbench does not build"
 
-echo "bench-check: running Fig + engine benchmarks (-benchtime=1x -count=3)"
+# -cpu 1 pins GOMAXPROCS so benchmark names carry no "-N" suffix and
+# match the committed reports whatever the host's core count.
+echo "bench-check: running Fig + engine benchmarks (-benchtime=1x -count=3 -cpu 1)"
 go test -run '^$' -bench 'BenchmarkFig|BenchmarkCODLQuery|BenchmarkDiscoverBatch' \
-    -benchtime=1x -count=3 -benchmem . \
+    -benchtime=1x -count=3 -cpu 1 -benchmem . \
     >"$workdir/bench.out" 2>&1 || fail "go test -bench exited nonzero"
 
 grep -q '^Benchmark' "$workdir/bench.out" || fail "no benchmark lines in output"

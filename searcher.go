@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -81,7 +82,10 @@ type Options struct {
 	// With it on, whole-graph sample pools are generated from per-item seeds
 	// derived from (Seed, attribute, epoch) and shared across queries: still
 	// fully deterministic (a hit is byte-identical to a miss, independent of
-	// arrival order), but a different stream than the cache-off mode.
+	// arrival order), but a different stream than the cache-off mode. Only
+	// plans that sample the whole graph use the cache — CODU, CODR and
+	// CODL⁻; default CODL samples restricted to its reclustered community
+	// C_ℓ, which depends on the query node, so it never hits or misses.
 	SampleCache int
 	// CacheHierarchies keeps CODR per-attribute reclustered hierarchies
 	// resident across DiscoverGlobal calls. Reclustering is deterministic,
@@ -283,8 +287,9 @@ func (s *Searcher) DiscoverGlobalCtx(ctx context.Context, q NodeID, attr AttrID)
 	return s.discoverSpec(ctx, engine.Spec{Variant: engine.VariantCODR, Q: q, Attr: attr}, attr)
 }
 
-// EstimateInfluence estimates σ_g(v), the expected IC spread of v over the
-// whole graph, from θ·N shared RR sets.
+// EstimateInfluence estimates σ_g(v), the expected spread of v over the
+// whole graph under Options.Model (the IC weighted cascade by default), from
+// θ·N RR graphs.
 func (s *Searcher) EstimateInfluence(v NodeID) (float64, error) {
 	return s.EstimateInfluenceCtx(context.Background(), v)
 }
@@ -302,23 +307,18 @@ func (s *Searcher) EstimateInfluenceCtx(ctx context.Context, v NodeID) (float64,
 	}
 	sampler := engine.NewGraphSampler(s.g.internalGraph(), s.opts.Model, s.nextRand())
 	total := theta * s.g.N()
-	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
+	a := influence.NewArena()
 	count := 0
-	for i := 0; i < total; i++ {
-		if i%influence.PollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				span.EndItems(i)
-				return 0, &CanceledError{Op: "cod: influence estimation", Done: i, Total: total, Cause: err}
-			}
+	err := influence.SampleRange(ctx, "cod: influence estimation", 0, total, total, 1, func(_, _ int) {
+		a.Reset()
+		sampler.RRGraphInto(a)
+		if slices.Contains(a.Finalize()[0].Nodes, v) {
+			count++
 		}
-		for _, u := range sampler.RRGraph().Nodes {
-			if u == v {
-				count++
-				break
-			}
-		}
+	})
+	if err != nil {
+		return 0, err
 	}
-	span.EndItems(total)
 	return influence.InfluenceFromCount(count, total, s.g.N()), nil
 }
 
@@ -344,7 +344,7 @@ func (s *Searcher) MaximizeInfluenceCtx(ctx context.Context, k int) ([]NodeID, f
 		theta = 10
 	}
 	sampler := engine.NewGraphSampler(s.g.internalGraph(), s.opts.Model, s.nextRand())
-	pool, err := influence.BatchCtx(ctx, sampler, theta*s.g.N())
+	pool, err := influence.BatchIntoCtx(ctx, sampler, theta*s.g.N(), influence.NewArena())
 	if err != nil {
 		return nil, 0, err
 	}
