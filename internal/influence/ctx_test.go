@@ -51,12 +51,10 @@ func TestParallelBatchCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestSampleRange locks the loop's contract: every index of [lo, hi) is
-// drawn exactly once, each worker draws one contiguous ascending range in
-// worker order, and empty or inverted ranges draw nothing and still flush
-// one empty span. Staged calls over consecutive ranges draw a per-item
-// seeded pool byte-identical to one full-range call.
-func TestSampleRange(t *testing.T) {
+// TestSampleRangeStagedMatchesFull locks the stage-resumable contract:
+// staged calls over consecutive ranges draw a per-item seeded pool
+// byte-identical to one full-range call.
+func TestSampleRangeStagedMatchesFull(t *testing.T) {
 	g := graph.BarabasiAlbert(60, 3, graph.NewRand(4))
 	pool := func(bounds []int) string {
 		src := graph.NewPCG(0)
@@ -76,7 +74,13 @@ func TestSampleRange(t *testing.T) {
 	if pool([]int{0, 50, 100, 200, 400}) != pool([]int{0, 400}) {
 		t.Error("staged ranges differ from one full-range call")
 	}
+}
 
+// TestSampleRangeEdgeCases locks the loop's contract: every index of
+// [lo, hi) is drawn exactly once, each worker draws one contiguous ascending
+// range in worker order, and empty or inverted ranges draw nothing and still
+// flush one empty span.
+func TestSampleRangeEdgeCases(t *testing.T) {
 	for _, tc := range []struct{ lo, hi, workers int }{
 		{0, 0, 4}, {9, 3, 4}, {7, 7, 1}, {0, 10, 1}, {5, 300, 1}, {5, 300, 3}, {0, 3, 16}, {0, 5, 0},
 	} {

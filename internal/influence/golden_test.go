@@ -62,6 +62,21 @@ type goldenSampler interface {
 	RRGraphWithinInto(a *Arena, src graph.NodeID, member func(graph.NodeID) bool)
 }
 
+// goldenFingerprints holds, per model, the fingerprints of goldenSamples RR
+// graphs from uniform sources and restricted to goldenMembers.
+var goldenFingerprints = map[string]struct{ uniform, restricted uint64 }{
+	"ic": {uniform: 0xaf667f07924378d7, restricted: 0x4281f014b4969326},
+	"lt": {uniform: 0xc91d612672e20044, restricted: 0x6eeeff1de51fe3f5},
+}
+
+// newGoldenSampler builds the named model's sampler ("ic" or "lt") on g.
+func newGoldenSampler(g *graph.Graph, name string, rng *rand.Rand) goldenSampler {
+	if name == "lt" {
+		return NewLTSampler(g, UniformLT{G: g}, rng)
+	}
+	return NewSampler(g, NewWeightedCascade(g), rng)
+}
+
 // TestSamplerGolden pins the RR samplers to fingerprints recorded from the
 // original allocating implementation (RRGraph/RRGraphWithin, which drew
 // byte-identical samples), so a change to either model's coin policy, its
@@ -73,19 +88,10 @@ type goldenSampler interface {
 func TestSamplerGolden(t *testing.T) {
 	g := goldenGraph()
 	members, member := goldenMembers(g)
-	newSampler := func(name string, rng *rand.Rand) goldenSampler {
-		if name == "lt" {
-			return NewLTSampler(g, UniformLT{G: g}, rng)
-		}
-		return NewSampler(g, NewWeightedCascade(g), rng)
-	}
-	golden := map[string]struct{ uniform, restricted uint64 }{
-		"ic": {uniform: 0xaf667f07924378d7, restricted: 0x4281f014b4969326},
-		"lt": {uniform: 0xc91d612672e20044, restricted: 0x6eeeff1de51fe3f5},
-	}
+	newSampler := func(name string, rng *rand.Rand) goldenSampler { return newGoldenSampler(g, name, rng) }
 	for _, name := range []string{"ic", "lt"} {
 		t.Run(name, func(t *testing.T) {
-			want := golden[name]
+			want := goldenFingerprints[name]
 
 			s := newSampler(name, graph.NewRand(101))
 			a := NewArena()
@@ -120,4 +126,33 @@ func TestSamplerGolden(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBatchIntoCtxMatchesGolden locks BatchIntoCtx to the golden uniform
+// stream of both models: polling the context consumes no randomness, so an
+// uncancelled batch draws exactly the samples of a plain RRGraphInto loop.
+// A context canceled before the first draw yields no samples.
+func TestBatchIntoCtxMatchesGolden(t *testing.T) {
+	g := goldenGraph()
+	for _, name := range []string{"ic", "lt"} {
+		s := newGoldenSampler(g, name, graph.NewRand(101)).(GraphSampler)
+		got, err := BatchIntoCtx(context.Background(), s, goldenSamples, NewArena())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp, want := rrFingerprint(got), goldenFingerprints[name].uniform; fp != want {
+			t.Errorf("%s: BatchIntoCtx fingerprint = %#x, want %#x", name, fp, want)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		s = newGoldenSampler(g, name, graph.NewRand(101)).(GraphSampler)
+		partial, err := BatchIntoCtx(ctx, s, goldenSamples, NewArena())
+		if err == nil {
+			t.Fatalf("%s: canceled BatchIntoCtx returned no error", name)
+		}
+		if len(partial) != 0 {
+			t.Errorf("%s: pre-start cancellation returned %d samples", name, len(partial))
+		}
+	}
 }
