@@ -59,7 +59,7 @@ func (s *Searcher) DiscoverBatchCtx(ctx context.Context, queries []Query, worker
 	for i, q := range queries {
 		out[i].Query = q
 		if q.Expr == "" {
-			out[i].Err = s.validate(q.Node, q.Attr)
+			out[i].Err = validate(s.g, q.Node, q.Attr)
 			continue
 		}
 		pq, ok := prepared[q.Expr]
@@ -76,7 +76,7 @@ func (s *Searcher) DiscoverBatchCtx(ctx context.Context, queries []Query, worker
 		if pq.hasNode {
 			node = pq.node
 		}
-		out[i].Err = s.validate(node, pq.attr)
+		out[i].Err = validate(s.g, node, pq.attr)
 	}
 	if workers <= 0 {
 		workers = len(queries)

@@ -58,9 +58,10 @@ func replayExpr(e *eventlog.Event) (string, error) {
 }
 
 // stepSig reduces a step sequence to its replayable signature: the ordered
-// (variant, kind, outcome) triples. Durations vary run to run, and
-// index-swap steps belong to the serving process (an epoch flip mid-query),
-// not to the query plan, so both are excluded from the comparison.
+// (variant, kind, outcome) triples. Durations and stage spans vary run to
+// run, and index-swap steps belong to the serving process (an epoch flip
+// mid-query), not to the query plan, so all three are excluded from the
+// comparison.
 func stepSig(steps []eventlog.Step) []string {
 	sig := make([]string, 0, len(steps))
 	for _, s := range steps {
@@ -70,15 +71,6 @@ func stepSig(steps []eventlog.Step) []string {
 		sig = append(sig, s.Variant+"/"+s.Kind+"="+s.Outcome)
 	}
 	return sig
-}
-
-func sigFromTrace(tr *obs.Trace) []string {
-	recs := tr.Steps()
-	steps := make([]eventlog.Step, len(recs))
-	for i, r := range recs {
-		steps[i] = eventlog.Step{Variant: r.Variant, Kind: r.Kind, Outcome: r.Outcome}
-	}
-	return stepSig(steps)
 }
 
 // runReplay re-executes a logged query against a locally built index and
@@ -176,7 +168,7 @@ func runReplay(ctx context.Context, dir string, args []string, out io.Writer) er
 	// Diff 2: the plan-step outcomes. Cache steps are compared too: a logged
 	// cache_hit replaying as cache_miss (or vice versa) is a real divergence
 	// in the serving configuration, worth surfacing.
-	logged, replayed := stepSig(e.Steps), sigFromTrace(tr)
+	logged, replayed := stepSig(e.Steps), stepSig(eventlog.New(tr, "", time.Time{}, 0, 0).Steps)
 	if equalStrings(logged, replayed) {
 		fmt.Fprintf(out, "plan: %d step(s) match\n", len(replayed))
 	} else {

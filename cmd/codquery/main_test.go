@@ -52,8 +52,11 @@ func TestRunExpressionQuery(t *testing.T) {
 	if err := run(context.Background(), o); err != nil {
 		t.Fatalf("compound expression run: %v", err)
 	}
-	if got := buf.String(); !strings.Contains(got, "query trace:") {
-		t.Errorf("-trace output missing trace section:\n%s", got)
+	got := buf.String()
+	for _, want := range []string{"query trace:", " outcome=ok ", "\n  step CODR/", "\n    span "} {
+		if !strings.Contains(got, want) {
+			t.Errorf("-trace output missing %q:\n%s", want, got)
+		}
 	}
 }
 

@@ -1,16 +1,21 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"os"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/codsearch/cod"
-	"github.com/codsearch/cod/internal/obs"
+	"github.com/codsearch/cod/internal/obs/eventlog"
 )
 
 // attributedQuery returns the first attributed node and its first attribute
@@ -27,9 +32,9 @@ func attributedQuery(t *testing.T, g *cod.Graph) (q, attr string) {
 }
 
 type debugQueriesResponse struct {
-	SlowAfter string             `json:"slow_after"`
-	Recent    []*obs.QueryRecord `json:"recent"`
-	Slow      []*obs.QueryRecord `json:"slow"`
+	SlowAfter string            `json:"slow_after"`
+	Recent    []*eventlog.Event `json:"recent"`
+	Slow      []*eventlog.Event `json:"slow"`
 }
 
 func TestDebugQueriesRecordsTrace(t *testing.T) {
@@ -113,11 +118,152 @@ func TestDebugQueriesSlowRetention(t *testing.T) {
 	if len(body.Slow) == 0 {
 		t.Fatal("1ns-threshold query not retained in the slow ring")
 	}
-	if !body.Slow[0].Slow {
-		t.Error("slow-ring record not flagged slow")
-	}
 	if body.Slow[0].TraceID == "" {
 		t.Error("slow-ring record lost its trace ID")
+	}
+	if len(body.Recent) == 0 || body.Recent[0].TraceID != body.Slow[0].TraceID {
+		t.Error("slow ring and recent ring disagree on the one served query")
+	}
+}
+
+// TestDebugQueriesRejectedQueryIsSlow locks the one slow rule: a fast 400
+// is not OK, so it enters the slow ring, exactly as the event log's
+// always-kept tail keeps it.
+func TestDebugQueriesRejectedQueryIsSlow(t *testing.T) {
+	srv, _ := testServer(t)
+	getJSON(t, srv.URL+"/discover?q=abc", http.StatusBadRequest, nil)
+
+	var body debugQueriesResponse
+	getJSON(t, srv.URL+"/debug/queries", http.StatusOK, &body)
+	if len(body.Slow) != 1 || body.Slow[0].Status != http.StatusBadRequest ||
+		body.Slow[0].Outcome != eventlog.OutcomeError {
+		t.Fatalf("slow ring = %+v, want the one rejected query", body.Slow)
+	}
+}
+
+// TestDebugQueriesEventMatchesLog locks the single per-query record: with
+// the event log on, a served query's /debug/queries entry and its log line
+// are the same event — same trace ID, same steps, same nested spans.
+func TestDebugQueriesEventMatchesLog(t *testing.T) {
+	dir := t.TempDir()
+	sink, err := eventlog.Open(eventlog.Options{Dir: dir, SampleRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, g := testHandler(t, Config{Events: sink})
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	q, attr := attributedQuery(t, g)
+	var disc discoverResponse
+	getJSON(t, srv.URL+"/discover?q="+url.QueryEscape(attr+" and node="+q), http.StatusOK, &disc)
+
+	var body struct {
+		Recent []json.RawMessage `json:"recent"`
+	}
+	getJSON(t, srv.URL+"/debug/queries", http.StatusOK, &body)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := eventlog.Files(dir)
+	if err != nil || len(files) != 1 {
+		t.Fatalf("log files = %v (%v), want one", files, err)
+	}
+	line, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body.Recent) != 1 || strings.Count(string(line), "\n") != 1 {
+		t.Fatalf("got %d /debug/queries entries and log %q, want one of each", len(body.Recent), line)
+	}
+	var fromDebug, fromLog map[string]any
+	if err := json.Unmarshal(body.Recent[0], &fromDebug); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(line, &fromLog); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromDebug, fromLog) {
+		t.Fatalf("/debug/queries entry differs from the log line:\n%s\n%s", body.Recent[0], line)
+	}
+
+	var ev eventlog.Event
+	if err := json.Unmarshal(line, &ev); err != nil {
+		t.Fatal(err)
+	}
+	spans := len(ev.Spans)
+	for _, st := range ev.Steps {
+		spans += len(st.Spans)
+	}
+	if ev.TraceID == "" || len(ev.Steps) == 0 || spans == 0 {
+		t.Errorf("shared event = %+v, want a trace ID, steps and stage spans", ev)
+	}
+}
+
+// TestDebugQueriesConcurrentWithSink serves queries while other clients
+// read /debug/queries, with the event log on: under -race this checks that
+// the sink's writer goroutine and the ring readers share each event without
+// either writing to it.
+func TestDebugQueriesConcurrentWithSink(t *testing.T) {
+	dir := t.TempDir()
+	sink, err := eventlog.Open(eventlog.Options{Dir: dir, SampleRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, g := testHandler(t, Config{Events: sink, SlowQuery: time.Nanosecond})
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	q, attr := attributedQuery(t, g)
+
+	const clients, perClient = 3, 8
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perClient; j++ {
+				resp, err := http.Get(srv.URL + "/discover?q=" + q + "&attr=" + attr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+			}
+		}()
+	}
+	var readers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func(text bool) {
+			defer readers.Done()
+			path := "/debug/queries"
+			if text {
+				path += "?format=text"
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(srv.URL + path)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}(i == 1)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sink.Stats(); st.Written+st.Dropped != clients*perClient {
+		t.Errorf("sink wrote %d and dropped %d events, want %d in total", st.Written, st.Dropped, clients*perClient)
 	}
 }
 

@@ -33,9 +33,10 @@ type Config struct {
 	// (exposed again via Handler.Metrics so main can mount it on the debug
 	// listener too).
 	Metrics *obs.Registry
-	// SlowQuery is the latency at or above which a query is retained in the
-	// flight recorder's slow ring (errored and 5xx queries are retained
-	// regardless); <= 0 selects obs.DefaultSlowAfter.
+	// SlowQuery is the latency at or above which a query's event enters the
+	// flight recorder's slow ring (non-OK events enter regardless; see
+	// eventlog.IsSlow); <= 0 selects eventlog.DefaultSlowAfter. main passes
+	// the same value to the event sink, so one threshold governs both.
 	SlowQuery time.Duration
 	// Events is the durable query-event sink (-query-log); nil disables
 	// persistence. The in-process aggregator behind /debug/querystats and
@@ -48,7 +49,7 @@ const defaultMaxInFlight = 64
 // Flight-recorder ring sizes: enough recent traffic to see a pattern,
 // enough slow retention that a burst of fast queries can't flush the
 // interesting ones. Memory stays bounded: both rings hold immutable
-// snapshots detached from query scratch.
+// events detached from query scratch.
 const (
 	flightRecentN = 128
 	flightSlowN   = 32
@@ -117,15 +118,16 @@ type Handler struct {
 	swapRejected *obs.Counter
 	fetchRetries *obs.Counter
 
-	// flight retains recent and slow query traces for /debug/queries;
+	// flight retains recent and slow query events for /debug/queries;
 	// traceSeq feeds fallback trace IDs for requests that never reached a
 	// seed draw (e.g. rejected by validation).
-	flight   *obs.FlightRecorder
+	flight   *eventlog.FlightRecorder
 	traceSeq atomic.Uint64
 
 	// agg digests every query event for /debug/querystats and the
 	// exemplar-carrying cod_query_event_seconds family; events persists the
-	// same events to the durable log (nil when -query-log is off).
+	// same events to the durable log (nil when -query-log is off). The
+	// flight rings, agg and events all share one *Event per query.
 	agg    *eventlog.Aggregator
 	events *eventlog.Sink
 }
@@ -183,7 +185,7 @@ func NewHandler(g *cod.Graph, s *cod.Searcher, cfg Config) *Handler {
 		swapRejected: reg.Counter("cod_index_swap_rejected_total", "Swap attempts rejected for naming a non-monotone (older) epoch."),
 		fetchRetries: reg.Counter("cod_index_fetch_retries_total", "Blobstore operations retried while fetching index artifacts."),
 
-		flight: obs.NewFlightRecorder(flightRecentN, flightSlowN, cfg.SlowQuery),
+		flight: eventlog.NewFlightRecorder(flightRecentN, flightSlowN, cfg.SlowQuery),
 		agg:    eventlog.NewAggregator(),
 		events: cfg.Events,
 	}
@@ -335,7 +337,7 @@ func (h *Handler) Metrics() *obs.Registry { return h.reg }
 
 // Flight exposes the flight recorder backing /debug/queries so main can
 // mount the same state on the debug listener.
-func (h *Handler) Flight() *obs.FlightRecorder { return h.flight }
+func (h *Handler) Flight() *eventlog.FlightRecorder { return h.flight }
 
 // QueryStats exposes the event aggregator backing /debug/querystats so main
 // can mount the same state on the debug listener.
@@ -423,17 +425,17 @@ func (h *Handler) guard(next func(http.ResponseWriter, *http.Request, *servingSt
 
 // instrument runs inside guard on every query route: it attaches a fresh
 // per-query Trace plus the shared pipeline metrics to the request context,
-// times the request into cod_query_seconds, files the finished trace with
-// the flight recorder, assembles the query's canonical wide event (digested
-// by the aggregator and, when -query-log is on, appended to the durable
-// log), and emits one structured log line carrying the trace ID and the
-// stage timings the pipelines recorded. The Trace is always flushed — a
-// canceled or timed-out query still logs the spans it finished.
+// times the request into cod_query_seconds, assembles the query's canonical
+// wide event — the one record the aggregator digests, the flight recorder
+// retains and, when -query-log is on, the durable log appends — and emits
+// one structured log line read from that event. The Trace is always
+// flushed — a canceled or timed-out query still records the spans it
+// finished.
 //
 // Trace-ID precedence: a well-formed W3C traceparent header wins (the trace
 // joins the caller's distributed trace); otherwise the library installs the
 // query's seed-derived ID; requests that never reach a seed draw (rejected
-// input) get a server-local fallback so every flight record is addressable.
+// input) get a server-local fallback so every event is addressable.
 func (h *Handler) instrument(next func(http.ResponseWriter, *http.Request, *servingState)) func(http.ResponseWriter, *http.Request, *servingState) {
 	return func(w http.ResponseWriter, r *http.Request, st *servingState) {
 		trace := obs.NewTrace()
@@ -460,7 +462,10 @@ func (h *Handler) instrument(next func(http.ResponseWriter, *http.Request, *serv
 
 		// The wide event: everything the trace knows plus the serving
 		// context only this layer has (epoch, normalized expression,
-		// predicate key, result fingerprint).
+		// predicate key, result fingerprint). Expression queries carry their
+		// normalized form, so every view shows the canonical query — one
+		// spelling per semantic query — rather than whatever URL-escaped
+		// variant the caller sent. The event is immutable from here on.
 		ev := eventlog.New(trace, r.URL.Path, start, d, sw.status)
 		ev.Epoch = st.epoch
 		ev.Expr = note.expr
@@ -474,23 +479,14 @@ func (h *Handler) instrument(next func(http.ResponseWriter, *http.Request, *serv
 		ev.Result = note.result
 		h.agg.Observe(ev)
 		h.events.Record(ev)
-
-		// Expression queries carry their normalized form into the flight
-		// record and the structured log, so /debug/queries and the logs show
-		// the canonical query — one spelling per semantic query — rather than
-		// whatever URL-escaped variant the caller sent.
-		detail := r.URL.RawQuery
-		qr := obs.NewQueryRecord(trace, r.URL.Path, detail, sw.status, start, d, nil)
-		qr.Epoch = st.epoch
-		qr.Expr = note.expr
-		h.flight.Record(qr)
+		h.flight.Record(ev)
 		slog.Info("query",
-			"path", r.URL.Path,
+			"path", ev.Op,
 			"query", r.URL.RawQuery,
-			"expr", note.expr,
-			"status", sw.status,
-			"dur", d,
-			"trace_id", trace.ID(),
+			"expr", ev.Expr,
+			"status", ev.Status,
+			"dur", ev.Dur(),
+			"trace_id", ev.TraceID,
 			"stages", trace.String(),
 		)
 	}

@@ -16,13 +16,14 @@
 //	GET  /discover?q=42&attr=1[&method=codl|codu|codr]
 //	GET  /influence?q=42
 //	POST /batch                          -> {"queries":[{"q":42,"attr":1},...]}
-//	GET  /debug/queries[?format=text]    -> recent + slow query traces (flight recorder)
+//	GET  /debug/queries[?format=text]    -> recent + slow query events (flight recorder)
 //	GET  /debug/querystats               -> streaming per-(variant, predicate, outcome) latency digests
 //
 // -query-log DIR appends one wide JSONL event per query to a size-rotated,
 // crash-tolerant log (analyzed offline with codlog); -query-log-sample sets
-// the deterministic keep rate for OK events (slow and errored events are
-// always kept).
+// the deterministic keep rate for OK events. -slow-query is the one slow
+// threshold: an event that ran at least that long or did not complete OK
+// enters the /debug/queries slow ring and is always kept in the log.
 //
 // Serving contract: malformed input is 400, not-ready is 503, shed load is
 // 429 with Retry-After, an expired -query-timeout is 504, and every
@@ -68,7 +69,7 @@ func main() {
 		grace         = flag.Duration("shutdown-grace", 10*time.Second, "drain window for in-flight queries on shutdown")
 		debugAddr     = flag.String("debug-addr", "", "optional listen address for pprof + /metrics (off when empty)")
 		sampleCache   = flag.Int("sample-cache", 0, "per-attribute RR sample pools kept resident (0 = off); hits/misses on /metrics. Only whole-graph sampling (CODU, CODR, CODL⁻) uses it: default CODL samples inside C_ℓ and records no hits or misses")
-		slowQuery     = flag.Duration("slow-query", obs.DefaultSlowAfter, "latency at which a query is retained in the /debug/queries slow ring")
+		slowQuery     = flag.Duration("slow-query", eventlog.DefaultSlowAfter, "latency at which a query counts as slow: it enters the /debug/queries slow ring and bypasses -query-log-sample (non-OK queries count as slow regardless)")
 		indexStore    = flag.String("index-store", "", "blob store root directory to serve published index epochs from (skips the local offline build)")
 		indexWatch    = flag.Duration("index-watch", 10*time.Second, "poll cadence for new index epochs in the store (0 = fetch once at startup)")
 		indexDataset  = flag.String("index-dataset", "", "dataset namespace within -index-store (defaults to -dataset)")

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/codsearch/cod/internal/obs"
+	"github.com/codsearch/cod/internal/obs/eventlog"
 )
 
 // This file is the determinism-replay suite: the same seeded workload must
@@ -210,10 +211,11 @@ func TestDiscoverBatchWithRecorderByteIdentical(t *testing.T) {
 }
 
 // TestDiscoverWithFlightRecorderByteIdentical extends the §11 lock to the
-// PR-5 observability surface: per-query traces (trace IDs, step spans) fed
-// into a FlightRecorder after every query must not change a single byte of
-// any result. Trace IDs are pure functions of the per-query seed, and the
-// seed sequence advances identically with or without instrumentation.
+// tracing surface: per-query traces (trace IDs, step spans) filed as events
+// in the flight recorder's rings after every query must not change a single
+// byte of any result. Trace IDs are pure functions of the per-query seed,
+// and the seed sequence advances identically with or without
+// instrumentation.
 func TestDiscoverWithFlightRecorderByteIdentical(t *testing.T) {
 	g := buildTestGraph(t)
 	queries := determinismQueries(g)
@@ -230,7 +232,7 @@ func TestDiscoverWithFlightRecorderByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flight := obs.NewFlightRecorder(len(queries), 4, obs.DefaultSlowAfter)
+	flight := eventlog.NewFlightRecorder(len(queries), 4, eventlog.DefaultSlowAfter)
 	var traceIDs []string
 	for _, q := range queries {
 		want, err1 := s1.Discover(q.Node, q.Attr)
@@ -239,7 +241,7 @@ func TestDiscoverWithFlightRecorderByteIdentical(t *testing.T) {
 		tr := obs.NewTrace()
 		rctx := obs.WithRecorder(context.Background(), obs.NewRecorder(nil, tr))
 		got, err2 := s2.DiscoverCtx(rctx, q.Node, q.Attr)
-		flight.Record(obs.NewQueryRecord(tr, "discover", "", 0, time.Now(), 0, err2))
+		flight.Record(eventlog.New(tr, "discover", time.Now(), 0, 0))
 
 		if err1 != nil || err2 != nil {
 			t.Fatalf("query %+v errored: %v / %v", q, err1, err2)
@@ -258,7 +260,7 @@ func TestDiscoverWithFlightRecorderByteIdentical(t *testing.T) {
 	}
 	for _, rec := range recent {
 		if len(rec.TraceID) != 32 {
-			t.Errorf("record %q has malformed trace ID %q", rec.Detail, rec.TraceID)
+			t.Errorf("record %q has malformed trace ID %q", rec.Op, rec.TraceID)
 		}
 		if len(rec.Steps) == 0 {
 			t.Errorf("record with trace %s carries no step spans", rec.TraceID)
@@ -368,12 +370,12 @@ func TestAdaptiveEarlyStopInFlightRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flight := obs.NewFlightRecorder(len(queries), 4, obs.DefaultSlowAfter)
+	flight := eventlog.NewFlightRecorder(len(queries), 4, eventlog.DefaultSlowAfter)
 	for _, q := range queries {
 		tr := obs.NewTrace()
 		rctx := obs.WithRecorder(context.Background(), obs.NewRecorder(nil, tr))
 		_, err := s.DiscoverCtx(rctx, q.Node, q.Attr)
-		flight.Record(obs.NewQueryRecord(tr, "discover", "", 0, time.Now(), 0, err))
+		flight.Record(eventlog.New(tr, "discover", time.Now(), 0, 0))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,6 +29,7 @@ const (
 // rebuilds the influence index (see the paper's future-work discussion on
 // dynamic graphs). Not safe for concurrent use.
 type DynamicSearcher struct {
+	g    *Graph // the initial graph: flushes add edges, never nodes or attributes
 	u    *dynamic.Updater
 	opts Options
 	seq  uint64
@@ -43,7 +44,7 @@ func NewDynamicSearcher(g *Graph, opts Options) (*DynamicSearcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DynamicSearcher{u: u, opts: opts}, nil
+	return &DynamicSearcher{g: g, u: u, opts: opts}, nil
 }
 
 // AddEdge buffers an undirected edge insertion; it becomes visible to
@@ -63,18 +64,12 @@ func (d *DynamicSearcher) Discover(q NodeID, attr AttrID) (Community, error) {
 
 // DiscoverCtx is Discover with cancellation and instrumentation: a Recorder
 // carried by ctx receives the query counters, step spans, and a
-// deterministic trace ID derived from the query's seed. The query consumes
-// its seed whether or not a Recorder is attached, so instrumented runs stay
-// byte-identical.
+// deterministic trace ID derived from the query's seed. Queries pass the
+// same front door as Searcher's: out-of-range input returns a *RangeError
+// without drawing a seed, and a valid query consumes its seed whether or
+// not a Recorder is attached, so instrumented runs stay byte-identical.
 func (d *DynamicSearcher) DiscoverCtx(ctx context.Context, q NodeID, attr AttrID) (Community, error) {
-	seed := graph.ItemSeed(d.opts.Seed, int(d.seq))
-	d.seq++
-	com, err := d.u.QueryCtx(ctx, q, attr, seed)
-	obs.FromContext(ctx).CountQuery(err)
-	if err != nil {
-		return Community{}, err
-	}
-	return Community{Nodes: com.Nodes, Found: com.Found, FromIndex: com.FromIndex}, nil
+	return d.discover(ctx, engine.Spec{Variant: engine.VariantCODL, Q: q, Attr: attr})
 }
 
 // DiscoverGlobal answers a CODR-variant query (global recluster of the
@@ -87,14 +82,19 @@ func (d *DynamicSearcher) DiscoverGlobal(q NodeID, attr AttrID) (Community, erro
 // DiscoverGlobalCtx is DiscoverGlobal with cancellation and instrumentation
 // (see DiscoverCtx).
 func (d *DynamicSearcher) DiscoverGlobalCtx(ctx context.Context, q NodeID, attr AttrID) (Community, error) {
-	seed := graph.ItemSeed(d.opts.Seed, int(d.seq))
-	d.seq++
-	com, err := d.u.QueryGlobalCtx(ctx, q, attr, seed)
-	obs.FromContext(ctx).CountQuery(err)
-	if err != nil {
+	return d.discover(ctx, engine.Spec{Variant: engine.VariantCODR, Q: q, Attr: attr})
+}
+
+// discover validates sp, draws the next per-query seed, and runs the
+// Searcher's seeded execute tail on the updater's engine.
+func (d *DynamicSearcher) discover(ctx context.Context, sp engine.Spec) (Community, error) {
+	if err := validate(d.g, sp.Q, sp.Attr); err != nil {
+		obs.FromContext(ctx).CountQuery(err)
 		return Community{}, err
 	}
-	return Community{Nodes: com.Nodes, Found: com.Found}, nil
+	seed := graph.ItemSeed(d.opts.Seed, int(d.seq))
+	d.seq++
+	return executeSeeded(ctx, d.u.Engine(), sp, seed)
 }
 
 // N returns the current node count; M the current edge count (excluding

@@ -29,7 +29,6 @@ import (
 	"github.com/codsearch/cod/internal/hac"
 	"github.com/codsearch/cod/internal/hier"
 	"github.com/codsearch/cod/internal/influence"
-	"github.com/codsearch/cod/internal/obs"
 )
 
 // Strategy selects how Flush rebuilds the hierarchy.
@@ -175,35 +174,6 @@ func (u *Updater) applyPending() *graph.Graph {
 		_ = b.AddEdge(e[0], e[1])
 	}
 	return b.Build()
-}
-
-// Query answers a COD query over the current state (Algorithm 3). Pending
-// edges are not visible until Flush.
-func (u *Updater) Query(q graph.NodeID, attr graph.AttrID, seed uint64) (engine.Community, error) {
-	return u.QueryCtx(context.Background(), q, attr, seed)
-}
-
-// QueryCtx is Query with cancellation and instrumentation: a Recorder on
-// ctx receives the query's step spans, and its trace (if any) gets a
-// deterministic ID derived from seed unless one was already installed.
-func (u *Updater) QueryCtx(ctx context.Context, q graph.NodeID, attr graph.AttrID, seed uint64) (engine.Community, error) {
-	obs.FromContext(ctx).EnsureTraceID(seed)
-	pl := u.eng.Compile(engine.VariantCODL, q, attr)
-	return u.eng.Execute(ctx, pl, graph.NewRand(seed))
-}
-
-// QueryGlobal answers a CODR-variant query (global attribute recluster)
-// over the current state, sharing the engine's caches with Query.
-func (u *Updater) QueryGlobal(q graph.NodeID, attr graph.AttrID, seed uint64) (engine.Community, error) {
-	return u.QueryGlobalCtx(context.Background(), q, attr, seed)
-}
-
-// QueryGlobalCtx is QueryGlobal with cancellation and instrumentation (see
-// QueryCtx).
-func (u *Updater) QueryGlobalCtx(ctx context.Context, q graph.NodeID, attr graph.AttrID, seed uint64) (engine.Community, error) {
-	obs.FromContext(ctx).EnsureTraceID(seed)
-	pl := u.eng.Compile(engine.VariantCODR, q, attr)
-	return u.eng.Execute(ctx, pl, graph.NewRand(seed))
 }
 
 // Engine exposes the updater's query engine (shared state, epoch, caches).

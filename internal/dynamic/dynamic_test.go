@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -123,7 +124,8 @@ func TestFullFlushAndQuery(t *testing.T) {
 			break
 		}
 	}
-	com, err := u.Query(q, u.Graph().Attrs(q)[0], 99)
+	pl := u.Engine().Compile(engine.VariantCODL, q, u.Graph().Attrs(q)[0])
+	com, err := u.Engine().Execute(context.Background(), pl, graph.NewRand(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +222,15 @@ func TestFlushInvalidatesSampleCache(t *testing.T) {
 		}
 		attr := u.Graph().Attrs(q)[0]
 		var out []string
-		c1, err := u.QueryGlobal(q, attr, 99)
+		queryGlobal := func() (engine.Community, error) {
+			pl := u.Engine().Compile(engine.VariantCODR, q, attr)
+			return u.Engine().Execute(context.Background(), pl, graph.NewRand(99))
+		}
+		c1, err := queryGlobal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		c2, err := u.QueryGlobal(q, attr, 99) // cache hit: pool + attr tree reused
+		c2, err := queryGlobal() // cache hit: pool + attr tree reused
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +247,7 @@ func TestFlushInvalidatesSampleCache(t *testing.T) {
 		if u.Engine().Epoch() != 1 {
 			t.Fatalf("epoch after flush = %d, want 1", u.Engine().Epoch())
 		}
-		c3, err := u.QueryGlobal(q, attr, 99)
+		c3, err := queryGlobal()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,20 +1,24 @@
-// Package eventlog is the durable query-event pipeline: every query the
+// Package eventlog is the per-query record pipeline: every query the
 // serving stack answers is condensed into one canonical wide Event — trace
 // ID, epoch, variant, normalized expression and predicate key, per-plan-step
-// durations and outcomes, adaptive early-stop stats, cache disposition,
-// status, duration, and a compact result fingerprint — serialized as one
-// JSONL line into a size-rotated, fsync-on-rotate log. The log survives
-// crashes (a torn final line is skipped on replay, nothing before it is
-// lost), sampling is a deterministic function of the trace ID (the kept set
-// replays identically), and the same Event feeds the in-process streaming
-// aggregator behind /debug/querystats and the exemplar-carrying /metrics
-// series. cmd/codlog reads the log offline.
+// durations and outcomes with their nested stage spans, adaptive early-stop
+// stats, cache disposition, status, duration, and a compact result
+// fingerprint. The Event is the only per-query record: the same pointer
+// feeds the in-process streaming aggregator behind /debug/querystats and the
+// exemplar-carrying /metrics series, the flight rings behind /debug/queries,
+// and the durable log, which serializes it as one JSONL line into a
+// size-rotated, fsync-on-rotate file. The log survives crashes (a torn final
+// line is skipped on replay, nothing before it is lost), and sampling is a
+// deterministic function of the trace ID (the kept set replays
+// identically). cmd/codlog reads the log offline; codquery -trace renders
+// the same record for a one-off query.
 package eventlog
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"strconv"
 	"time"
 
@@ -29,8 +33,16 @@ const (
 	OutcomeCanceled = "canceled"
 )
 
-// Step is one plan step inside an Event: the engine's StepRecord shorn of
-// span indices — what ran, what it decided, how long it took.
+// Span is one stage span inside an Event: the stage, its duration, and the
+// items it processed.
+type Span struct {
+	Stage string `json:"stage"`
+	DurNS int64  `json:"dur_ns"`
+	Items int64  `json:"items"`
+}
+
+// Step is one plan step inside an Event: what ran, what it decided, how
+// long it took, and the stage spans recorded while it ran.
 type Step struct {
 	Variant string `json:"variant"`
 	Kind    string `json:"kind"`
@@ -40,6 +52,7 @@ type Step struct {
 	// stage count and certified margin; absent for non-staged steps.
 	Stages int     `json:"stages,omitempty"`
 	Gap    float64 `json:"gap,omitempty"`
+	Spans  []Span  `json:"spans,omitempty"`
 }
 
 // Adaptive summarizes a query's bounded-error staged evaluation: the stage
@@ -62,8 +75,11 @@ type Result struct {
 }
 
 // Event is the canonical wide event of one served query — the single record
-// the sink persists, the aggregator digests, and codlog analyzes. One query,
-// one line; every field an after-the-fact investigation needs rides in it.
+// the sink persists, the aggregator digests, the flight rings retain, and
+// codlog analyzes. One query, one line; every field an after-the-fact
+// investigation needs rides in it. An Event is immutable once handed to a
+// consumer: the sink marshals it on its own goroutine while readers of the
+// flight rings may be encoding the same pointer.
 type Event struct {
 	TraceID string    `json:"trace_id"`
 	Time    time.Time `json:"time"`
@@ -92,8 +108,11 @@ type Event struct {
 	Err     string `json:"err,omitempty"`
 	// Cache is the sample-cache disposition ("hit", "miss", "" when the
 	// query never consulted the cache).
-	Cache    string    `json:"cache,omitempty"`
-	Steps    []Step    `json:"steps,omitempty"`
+	Cache string `json:"cache,omitempty"`
+	Steps []Step `json:"steps,omitempty"`
+	// Spans holds the stage spans no plan step claimed (spans recorded
+	// outside the step loop).
+	Spans    []Span    `json:"spans,omitempty"`
 	Adaptive *Adaptive `json:"adaptive,omitempty"`
 	Result   *Result   `json:"result,omitempty"`
 }
@@ -134,7 +153,9 @@ func OutcomeForStatus(status int) string {
 
 // New assembles an Event from a finished query's trace: trace ID, seed,
 // plan steps, the adaptive summary (from the staged sample step, when one
-// ran), and the cache disposition (from the sample step's outcome). The
+// ran), and the cache disposition (from the sample step's outcome). Each
+// stage span nests under the first step whose clamped [SpanStart, SpanEnd)
+// range covers it; spans no step claims land in the top-level Spans. The
 // caller fills the serving-context fields (Epoch, Expr, Pred, Node, Attr,
 // Result) it alone knows. tr may be nil.
 func New(tr *obs.Trace, op string, start time.Time, d time.Duration, status int) *Event {
@@ -154,11 +175,13 @@ func New(tr *obs.Trace, op string, start time.Time, d time.Duration, status int)
 	if seed, ok := tr.Seed(); ok {
 		e.Seed = strconv.FormatUint(seed, 10)
 	}
+	spans := tr.Spans()
+	used := make([]bool, len(spans))
 	steps := tr.Steps()
-	if len(steps) == 0 {
-		return e
+	if len(steps) > 0 {
+		e.Steps = make([]Step, len(steps))
+		e.Variant = steps[0].Variant
 	}
-	e.Steps = make([]Step, len(steps))
 	for i, st := range steps {
 		e.Steps[i] = Step{
 			Variant: st.Variant,
@@ -167,6 +190,12 @@ func New(tr *obs.Trace, op string, start time.Time, d time.Duration, status int)
 			DurNS:   int64(st.Duration),
 			Stages:  st.Stages,
 			Gap:     st.Gap,
+		}
+		for j := max(st.SpanStart, 0); j < min(st.SpanEnd, len(spans)); j++ {
+			if !used[j] {
+				used[j] = true
+				e.Steps[i].Spans = append(e.Steps[i].Spans, span(spans[j]))
+			}
 		}
 		switch st.Outcome {
 		case "cache_hit":
@@ -182,10 +211,61 @@ func New(tr *obs.Trace, op string, start time.Time, d time.Duration, status int)
 			}
 		}
 	}
-	if e.Variant == "" {
-		e.Variant = steps[0].Variant
+	for j, sp := range spans {
+		if !used[j] {
+			e.Spans = append(e.Spans, span(sp))
+		}
 	}
 	return e
+}
+
+func span(s obs.SpanRecord) Span {
+	return Span{Stage: s.Stage.String(), DurNS: int64(s.Duration), Items: s.Items}
+}
+
+// WriteLine renders the event's one-line summary: the form codlog tail
+// streams.
+func (e *Event) WriteLine(w io.Writer) {
+	fmt.Fprintf(w, "%s %s trace=%s epoch=%d variant=%s pred=%s outcome=%s status=%d dur=%s",
+		e.Time.Format(time.RFC3339Nano), e.Op, e.TraceID, e.Epoch,
+		e.VariantKey(), e.PredKey(), e.Outcome, e.Status, e.Dur())
+	if e.Expr != "" {
+		fmt.Fprintf(w, " expr=%q", e.Expr)
+	}
+	if e.Cache != "" {
+		fmt.Fprintf(w, " cache=%s", e.Cache)
+	}
+	if a := e.Adaptive; a != nil {
+		fmt.Fprintf(w, " adaptive_stages=%d adaptive_gap=%.4f adaptive_early_stop=%t", a.Stages, a.Gap, a.EarlyStop)
+	}
+	if res := e.Result; res != nil {
+		fmt.Fprintf(w, " found=%t size=%d nodes_fnv=%s", res.Found, res.Size, res.NodesFNV)
+	}
+	if e.Err != "" {
+		fmt.Fprintf(w, " err=%q", e.Err)
+	}
+	fmt.Fprintln(w)
+}
+
+// WriteText renders the event in full: the WriteLine summary, then one
+// indented line per plan step with its stage spans nested beneath, then the
+// spans no step claimed. /debug/queries?format=text, codlog grep and
+// codquery -trace print this form.
+func (e *Event) WriteText(w io.Writer) {
+	e.WriteLine(w)
+	for _, st := range e.Steps {
+		fmt.Fprintf(w, "  step %s/%s outcome=%s dur=%s", st.Variant, st.Kind, st.Outcome, time.Duration(st.DurNS))
+		if st.Stages > 0 {
+			fmt.Fprintf(w, " stages=%d gap=%.4f", st.Stages, st.Gap)
+		}
+		fmt.Fprintln(w)
+		for _, sp := range st.Spans {
+			fmt.Fprintf(w, "    span %s dur=%s items=%d\n", sp.Stage, time.Duration(sp.DurNS), sp.Items)
+		}
+	}
+	for _, sp := range e.Spans {
+		fmt.Fprintf(w, "  span %s dur=%s items=%d\n", sp.Stage, time.Duration(sp.DurNS), sp.Items)
+	}
 }
 
 // NodesSum fingerprints a community's member list as the 16-hex FNV-64a of

@@ -270,6 +270,27 @@ func TestScanCorruptLineSkipped(t *testing.T) {
 	}
 }
 
+// TestScanReadsLinesWithoutSpans: the span fields are omitempty additions,
+// so a line written before events carried spans still scans into the same
+// steps, with no spans.
+func TestScanReadsLinesWithoutSpans(t *testing.T) {
+	dir := t.TempDir()
+	line := `{"trace_id":"` + obs.SeedTraceID(1) + `","time":"2026-08-08T12:00:00Z","op":"/discover","epoch":3,` +
+		`"variant":"CODL","pred":"attr:1","node":4,"attr":1,"seed":"7","status":200,"outcome":"ok","dur_ns":1000,` +
+		`"steps":[{"variant":"CODL","kind":"weight","outcome":"lore","dur_ns":400}]}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "events-00000001.jsonl"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, st := scanAll(t, dir)
+	if len(got) != 1 || st.Corrupt != 0 || st.Torn != 0 {
+		t.Fatalf("got %d events, stats %+v; want 1 clean event", len(got), st)
+	}
+	e := got[0]
+	if len(e.Steps) != 1 || e.Steps[0].Outcome != "lore" || len(e.Steps[0].Spans) != 0 || len(e.Spans) != 0 {
+		t.Fatalf("pre-span line scanned as %+v", e)
+	}
+}
+
 func TestScanErrStop(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, SampleRate: 1})

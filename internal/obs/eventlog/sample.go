@@ -22,16 +22,10 @@ func KeepTrace(traceID string, rate float64) bool {
 	return float64(h.Sum64())/(1<<64) < rate
 }
 
-// Keep is the head/tail sampling rule of the event log: slow events (at or
-// over slowAfter) and non-OK events are always kept — the tail an
-// investigation needs must never be sampled away — while OK events below the
-// threshold pass through the deterministic KeepTrace gate.
+// Keep is the head/tail sampling rule of the event log: events IsSlow
+// classifies (non-OK, or at or over slowAfter) are always kept — the tail an
+// investigation needs must never be sampled away — while fast OK events pass
+// through the deterministic KeepTrace gate.
 func Keep(e *Event, rate float64, slowAfter time.Duration) bool {
-	if e.Outcome != OutcomeOK {
-		return true
-	}
-	if slowAfter > 0 && e.Dur() >= slowAfter {
-		return true
-	}
-	return KeepTrace(e.TraceID, rate)
+	return IsSlow(e, slowAfter) || KeepTrace(e.TraceID, rate)
 }

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/codsearch/cod/internal/obs"
 )
 
 // FileWriter is the sink's write target: an os.File in production, a
@@ -36,8 +34,8 @@ type Options struct {
 	// "unset" sentinel, so 0 means 0.
 	SampleRate float64
 	// SlowAfter is the latency at or above which an OK event bypasses
-	// sampling (<= 0 selects obs.DefaultSlowAfter), aligned with the flight
-	// recorder's slow classification.
+	// sampling (<= 0 selects DefaultSlowAfter); the same threshold and the
+	// same IsSlow rule govern the flight recorder's slow ring.
 	SlowAfter time.Duration
 	// QueueSize bounds the buffered channel between Record and the writer
 	// goroutine (<= 0 selects 1024). A full queue drops the event and
@@ -101,7 +99,7 @@ func Open(opts Options) (*Sink, error) {
 		opts.MaxFileBytes = 64 << 20
 	}
 	if opts.SlowAfter <= 0 {
-		opts.SlowAfter = obs.DefaultSlowAfter
+		opts.SlowAfter = DefaultSlowAfter
 	}
 	if opts.QueueSize <= 0 {
 		opts.QueueSize = 1024

@@ -67,9 +67,17 @@ grep -q '"state":"serving"' "$workdir/readyz.json" || fail "ready readyz missing
 grep -q '"stale_for_ms":0' "$workdir/readyz.json" || fail "ready readyz missing stale_for_ms"
 echo "serve-smoke: ready"
 
-# Query endpoints: success, JSON error for bad input, batch. The first
-# discover carries a W3C traceparent so the trace-propagation assertions
-# below can look for its exact trace ID.
+# Query endpoints: expression mode, success, JSON error for bad input,
+# batch. The normalized expression must flow into the wide event and the
+# flight recorder.
+curl -sf "$base/discover?q=0%20and%20node%3D0" \
+    | grep -q '"expr"' || fail "expression discover"
+# The traced discover carries a W3C traceparent so the trace-propagation
+# assertions below can look for its exact trace ID. It answers in the same
+# (CODL, attr:0, ok) group as the expression query above, and the
+# aggregator keeps only the latest exemplar per bucket, so it is sent last
+# of its group: no later query before the /metrics scrape can replace its
+# exemplar, however the latencies fall on this host.
 trace_id="4bf92f3577b34da6a3ce929d0e0e4736"
 curl -sf -H "traceparent: 00-$trace_id-00f067aa0ba902b7-01" "$base/discover?q=0" \
     | grep -q '"query":0' || fail "discover q=0"
@@ -80,15 +88,11 @@ curl -sf -X POST -d '{"queries":[{"q":0,"attr":0},{"q":1,"attr":0}]}' "$base/bat
     | grep -q '"query":1' || fail "batch"
 code=$(curl -s -o /dev/null -w '%{http_code}' "$base/nope")
 [ "$code" = 404 ] || fail "unknown route returned $code"
-# Expression mode: the normalized expression must flow into the wide event
-# and the flight recorder.
-curl -sf "$base/discover?q=0%20and%20node%3D0" \
-    | grep -q '"expr"' || fail "expression discover"
 echo "serve-smoke: endpoints ok"
 
-# Flight recorder: /debug/queries must retain the traced discover with the
-# propagated trace ID and at least one plan-step span, and the per-query
-# slog line must carry the same trace_id.
+# Flight recorder: /debug/queries must retain the traced discover's wide
+# event with the propagated trace ID and at least one plan step, and the
+# per-query slog line must carry the same trace_id.
 curl -sf "$base/debug/queries" >"$workdir/queries.json" || fail "/debug/queries unreachable"
 grep -q "\"trace_id\": \"$trace_id\"" "$workdir/queries.json" \
     || fail "propagated traceparent id $trace_id not in /debug/queries"

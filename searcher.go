@@ -217,21 +217,21 @@ func (s *Searcher) DiscoverCtx(ctx context.Context, q NodeID, attr AttrID) (Comm
 // so a single-attribute DSL query is byte-identical (trace IDs included) to
 // its legacy counterpart.
 func (s *Searcher) discoverSpec(ctx context.Context, sp engine.Spec, vattr AttrID) (Community, error) {
-	rec := obs.FromContext(ctx)
-	if err := s.validate(sp.Q, vattr); err != nil {
-		rec.CountQuery(err)
+	if err := validate(s.g, sp.Q, vattr); err != nil {
+		obs.FromContext(ctx).CountQuery(err)
 		return Community{}, err
 	}
-	return s.discoverSeeded(ctx, sp, s.nextSeed())
+	return executeSeeded(ctx, s.eng, sp, s.nextSeed())
 }
 
-// discoverSeeded executes a validated spec with an explicit per-query seed:
-// the shared tail of the live path (which draws the seed from the sequence)
-// and the replay path (which re-supplies a logged one).
-func (s *Searcher) discoverSeeded(ctx context.Context, sp engine.Spec, seed uint64) (Community, error) {
+// executeSeeded executes a validated spec on eng with an explicit per-query
+// seed: the shared tail of the Searcher's live path (which draws the seed
+// from the sequence), its replay path (which re-supplies a logged one), and
+// the DynamicSearcher's queries.
+func executeSeeded(ctx context.Context, eng *engine.Engine, sp engine.Spec, seed uint64) (Community, error) {
 	rec := obs.FromContext(ctx)
 	rec.EnsureTraceID(seed)
-	com, err := s.eng.Execute(ctx, s.eng.CompileSpec(sp), graph.NewRand(seed))
+	com, err := eng.Execute(ctx, eng.CompileSpec(sp), graph.NewRand(seed))
 	rec.CountQuery(err)
 	if err != nil {
 		return Community{}, err
@@ -255,10 +255,10 @@ func (s *Searcher) ReplaySeededCtx(ctx context.Context, expr string, seed uint64
 		return Community{}, fmt.Errorf("cod: replay expression %q needs a node= knob", expr)
 	}
 	sp := pq.spec(pq.node)
-	if err := s.validate(sp.Q, pq.attr); err != nil {
+	if err := validate(s.g, sp.Q, pq.attr); err != nil {
 		return Community{}, err
 	}
-	return s.discoverSeeded(ctx, sp, seed)
+	return executeSeeded(ctx, s.eng, sp, seed)
 }
 
 // DiscoverUnattributed finds the characteristic community of q ignoring
@@ -298,7 +298,7 @@ func (s *Searcher) EstimateInfluence(v NodeID) (float64, error) {
 // loop polls ctx.Err() once per bounded interval and aborts with a
 // *CanceledError carrying the completed sample count.
 func (s *Searcher) EstimateInfluenceCtx(ctx context.Context, v NodeID) (float64, error) {
-	if err := s.validate(v, 0); err != nil {
+	if err := validate(s.g, v, 0); err != nil {
 		return 0, err
 	}
 	theta := s.opts.Theta
@@ -359,7 +359,7 @@ func (s *Searcher) MaximizeInfluenceCtx(ctx context.Context, k int) ([]NodeID, f
 // enclosing community (0 = smallest), plus that community's size; it errors
 // when i is out of range. This exposes the index for inspection.
 func (s *Searcher) InfluenceRank(q NodeID, i int) (rank, size int, err error) {
-	if err := s.validate(q, 0); err != nil {
+	if err := validate(s.g, q, 0); err != nil {
 		return 0, 0, err
 	}
 	t := s.eng.Tree()
@@ -373,7 +373,7 @@ func (s *Searcher) InfluenceRank(q NodeID, i int) (rank, size int, err error) {
 // HierarchyDepth returns |H(q)|: the number of communities containing q in
 // the non-attributed hierarchy.
 func (s *Searcher) HierarchyDepth(q NodeID) (int, error) {
-	if err := s.validate(q, 0); err != nil {
+	if err := validate(s.g, q, 0); err != nil {
 		return 0, err
 	}
 	t := s.eng.Tree()
@@ -387,15 +387,17 @@ func (s *Searcher) IndexBytes() int64 { return s.eng.Index().ApproxBytes() }
 // Searcher's graph, using the same error shape as every query API: callers
 // (e.g. HTTP front ends) can reject malformed input before spending any
 // query work.
-func (s *Searcher) Validate(q NodeID, attr AttrID) error { return s.validate(q, attr) }
+func (s *Searcher) Validate(q NodeID, attr AttrID) error { return validate(s.g, q, attr) }
 
-func (s *Searcher) validate(q NodeID, attr AttrID) error {
-	if q < 0 || int(q) >= s.g.N() {
-		return &RangeError{What: "query node", Value: int64(q), N: s.g.N()}
+// validate is the query front door's range check against g, shared by the
+// Searcher and the DynamicSearcher.
+func validate(g *Graph, q NodeID, attr AttrID) error {
+	if q < 0 || int(q) >= g.N() {
+		return &RangeError{What: "query node", Value: int64(q), N: g.N()}
 	}
-	if attr < 0 || (s.g.NumAttrs() > 0 && int(attr) >= s.g.NumAttrs()) {
-		return &RangeError{What: "attribute", Value: int64(attr), N: s.g.NumAttrs(),
-			Known: s.g.AttrNames()}
+	if attr < 0 || (g.NumAttrs() > 0 && int(attr) >= g.NumAttrs()) {
+		return &RangeError{What: "attribute", Value: int64(attr), N: g.NumAttrs(),
+			Known: g.AttrNames()}
 	}
 	return nil
 }
