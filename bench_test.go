@@ -277,16 +277,36 @@ func BenchmarkCompressedEvaluate(b *testing.B) {
 	}
 }
 
+// BenchmarkHimorBuild times Alg. 3's index construction alone: the θ·n
+// pool is sampled once, before the timer starts.
 func BenchmarkHimorBuild(b *testing.B) {
 	g := loadBenchGraph(b, "cora")
 	t, err := hac.Cluster(g, hac.UnweightedAverage)
 	if err != nil {
 		b.Fatal(err)
 	}
-	model := influence.NewWeightedCascade(g)
+	pool := benchPool(g, influence.NewWeightedCascade(g), 5, graph.NewRand(0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.BuildHimor(context.Background(), g, t, benchPool(g, model, 5, graph.NewRand(uint64(i))), 5)
+		core.BuildHimor(context.Background(), g, t, pool, 5)
+	}
+}
+
+// BenchmarkLore runs LORE (Alg. 2) for a cycle of cora queries: score the
+// chain, induce and weight C_ℓ, recluster it.
+func BenchmarkLore(b *testing.B) {
+	g := loadBenchGraph(b, "cora")
+	t, err := hac.Cluster(g, hac.UnweightedAverage)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := dataset.Queries(g, 16, graph.NewRand(5))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		if _, err := core.LoreCtx(context.Background(), g, t, q.Node, q.Attr, 1, hac.UnweightedAverage); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

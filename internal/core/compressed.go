@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"github.com/codsearch/cod/internal/graph"
 	"github.com/codsearch/cod/internal/influence"
@@ -70,42 +71,62 @@ func CompressedEvaluate(ch *Chain, rrs []*influence.RRGraph, k int) EvalResult {
 }
 
 // EvalScratch holds the reusable working buffers of a compressed
-// evaluation: the per-level influence buckets, the per-level HFS queues, the
-// per-RR visited marks and the running tally map. Reuse is determinism-safe
-// because the only map-order-sensitive consumer — the top-k sweep — is
-// order-invariant under the canonical influence order (see topK.offer), so a
-// scratch-backed run returns exactly the fresh-allocation result. A scratch
-// is single-goroutine; the engine pools one per query.
+// evaluation, all flat arrays. The per-level buckets of Algorithm 1 live in
+// two tiers of counters keyed by node: own[v] counts v's visits at its own
+// chain level — most visits land there — and a cell per (node, other
+// level), chained from head[v], counts the rest. Both stay zero outside a
+// touched list through which they are reset, so a pooled scratch holds one
+// counter per distinct (node, level) pair, never one per visit. Before a
+// sweep the counters are grouped by level with a counting sort; the sweep
+// then adds each level's counts to the dense running tally and offers each
+// changed node to the top-k tracker once, whose retained set is independent
+// of offer order (see topK.offer). A scratch-backed run therefore returns
+// exactly the fresh-allocation result. A scratch is single-goroutine; the
+// engine pools one per query.
 type EvalScratch struct {
-	buckets []map[graph.NodeID]int32
-	queues  [][]int32
-	visited []bool
-	tau     map[graph.NodeID]int32
-	topk    []bool
-	ranks   []int32
+	own      []int32        // own[v]: v's visits at level ch.Level(v)
+	head     []int32        // head[v]: 1 + index in cells of v's newest cell; 0 = none
+	cells    []levelCell    // visits of a node above its own level, one cell per level
+	touched  []graph.NodeID // the nodes with any visit
+	items    []nodeCount    // every nonzero counter, grouped by level
+	levelOff []int          // level h's counters are items[levelOff[h]:levelOff[h+1]]
+	tau      []int32        // tau[v]: v's count over the levels swept so far
+	queues   [][]int32
+	visited  []bool
+	topk     []bool
+	ranks    []int32
+}
+
+// levelCell counts the HFS visits of node at chain level lvl, which lies
+// above the node's own level; next chains the node's cells (1-based, 0 ends).
+type levelCell struct {
+	node     graph.NodeID
+	lvl, cnt int32
+	next     int32
 }
 
 // NewEvalScratch returns an empty scratch.
 func NewEvalScratch() *EvalScratch { return &EvalScratch{} }
 
-// prepare sizes the scratch for a chain of L levels, clearing carried state.
-func (sc *EvalScratch) prepare(L int) {
-	for len(sc.buckets) < L {
-		sc.buckets = append(sc.buckets, make(map[graph.NodeID]int32))
+// prepare sizes the scratch for a chain of L levels over a universe of n
+// nodes, clearing carried state.
+func (sc *EvalScratch) prepare(L, n int) {
+	if len(sc.tau) < n {
+		sc.own = make([]int32, n)
+		sc.head = make([]int32, n)
+		sc.tau = make([]int32, n)
+		sc.touched = sc.touched[:0]
 	}
-	for h := 0; h < L; h++ {
-		clear(sc.buckets[h])
+	for _, v := range sc.touched {
+		sc.own[v], sc.head[v], sc.tau[v] = 0, 0, 0
 	}
+	sc.touched = sc.touched[:0]
+	sc.cells = sc.cells[:0]
 	for len(sc.queues) < L {
 		sc.queues = append(sc.queues, nil)
 	}
 	for h := 0; h < L; h++ {
 		sc.queues[h] = sc.queues[h][:0]
-	}
-	if sc.tau == nil {
-		sc.tau = make(map[graph.NodeID]int32, 64)
-	} else {
-		clear(sc.tau)
 	}
 	if cap(sc.topk) < L {
 		sc.topk = make([]bool, L)
@@ -113,6 +134,76 @@ func (sc *EvalScratch) prepare(L int) {
 	}
 	sc.topk = sc.topk[:L]
 	sc.ranks = sc.ranks[:L]
+}
+
+// count records one HFS visit of node v at level h of ch.
+func (sc *EvalScratch) count(ch *Chain, v graph.NodeID, h int32) {
+	if sc.own[v] == 0 && sc.head[v] == 0 {
+		sc.touched = append(sc.touched, v)
+	}
+	if h == ch.level[v] {
+		sc.own[v]++
+		return
+	}
+	for c := sc.head[v]; c != 0; c = sc.cells[c-1].next {
+		if sc.cells[c-1].lvl == h {
+			sc.cells[c-1].cnt++
+			return
+		}
+	}
+	sc.cells = append(sc.cells, levelCell{node: v, lvl: h, cnt: 1, next: sc.head[v]})
+	sc.head[v] = int32(len(sc.cells))
+}
+
+// groupByLevel lists every nonzero counter as a (node, count) item, grouped
+// by level with a counting sort over the L levels, and zeroes the running
+// tally for a fresh sweep.
+func (sc *EvalScratch) groupByLevel(ch *Chain, L int) {
+	off := slices.Grow(sc.levelOff[:0], L+1)[:L+1]
+	clear(off)
+	for _, v := range sc.touched {
+		sc.tau[v] = 0
+		if sc.own[v] > 0 {
+			off[ch.level[v]+1]++
+		}
+	}
+	for _, c := range sc.cells {
+		off[c.lvl+1]++
+	}
+	for h := 1; h <= L; h++ {
+		off[h] += off[h-1]
+	}
+	items := slices.Grow(sc.items[:0], off[L])[:off[L]]
+	for _, v := range sc.touched {
+		if c := sc.own[v]; c > 0 {
+			h := ch.level[v]
+			items[off[h]] = nodeCount{v, c}
+			off[h]++
+		}
+	}
+	for _, c := range sc.cells {
+		items[off[c.lvl]] = nodeCount{c.node, c.cnt}
+		off[c.lvl]++
+	}
+	// The scatter advanced each level's start to its end; shift back.
+	copy(off[1:], off[:L])
+	off[0] = 0
+	sc.levelOff, sc.items = off, items
+}
+
+// sweepLevel adds level h's counts to the running tally, offering each
+// node other than q to top with its new count. Each node has one item per
+// level, so it is offered once, after its level count is in. Leaving q out
+// of the tracker changes no rank: with or without q, the tracked set holds
+// every node ahead of q while fewer than k are, and k nodes ahead of q once
+// k or more are.
+func (sc *EvalScratch) sweepLevel(h int, top *topK, q graph.NodeID) {
+	for _, it := range sc.items[sc.levelOff[h]:sc.levelOff[h+1]] {
+		sc.tau[it.node] += it.cnt
+		if it.node != q {
+			top.offer(it.node, sc.tau[it.node])
+		}
+	}
 }
 
 // visitedFor returns a cleared visited buffer of length n.
@@ -133,8 +224,7 @@ func (sc *EvalScratch) visitedFor(n int) []bool {
 func CompressedEvaluateScratchCtx(ctx context.Context, ch *Chain, rrs []*influence.RRGraph, k int, sc *EvalScratch) (EvalResult, error) {
 	rec := obs.FromContext(ctx)
 	L := ch.Len()
-	sc.prepare(L)
-	buckets := sc.buckets[:L]
+	sc.prepare(L, len(ch.level))
 
 	// Stage 1: shared sample generation (HFS over every RR graph).
 	induce := rec.StartSpan(obs.StageRRInduce)
@@ -154,29 +244,25 @@ func CompressedEvaluateScratchCtx(ctx context.Context, ch *Chain, rrs []*influen
 
 	// Stage 2: incremental top-k evaluation.
 	sweep := rec.StartSpan(obs.StageTopKSweep)
-	tau := sc.tau
+	sc.groupByLevel(ch, L)
 	top := newTopK(k)
 	best := -1
 	for h := 0; h < L; h++ {
-		for v, cnt := range buckets[h] {
-			nv := tau[v] + cnt
-			tau[v] = nv
-			top.offer(v, nv)
-		}
-		ahead := top.aheadOf(ch.q, tau[ch.q])
+		sc.sweepLevel(h, top, ch.q)
+		ahead := top.aheadOf(ch.q, sc.tau[ch.q])
 		sc.ranks[h] = int32(ahead) + 1
 		sc.topk[h] = ahead < k
 		if sc.topk[h] {
 			best = h
 		}
 	}
-	sweep.EndItems(len(tau))
-	return EvalResult{Level: best, QCount: int(tau[ch.q]), Buckets: entries,
+	sweep.EndItems(len(sc.touched))
+	return EvalResult{Level: best, QCount: int(sc.tau[ch.q]), Buckets: entries,
 		TopK: sc.topk[:L], Ranks: sc.ranks[:L]}, nil
 }
 
-// foldRR runs the HFS pass of one RR graph, adding its node occurrences to
-// the per-level buckets, and returns the bucket entries it produced. Every
+// foldRR runs the HFS pass of one RR graph, counting its node occurrences
+// in the per-level buckets, and returns the bucket entries it produced. Every
 // pushed node lands at the current or a later level, so sweeping h from the
 // source level upward processes (and then resets) each queue once. The fold
 // is purely additive per RR graph, which is what lets StagedEval grow the
@@ -186,7 +272,6 @@ func (sc *EvalScratch) foldRR(ch *Chain, L int, r *influence.RRGraph) int {
 	if srcLevel >= L {
 		return 0 // source outside the chain's universe
 	}
-	buckets := sc.buckets[:L]
 	queues := sc.queues[:L]
 	entries := 0
 	visited := sc.visitedFor(r.Len())
@@ -197,7 +282,7 @@ func (sc *EvalScratch) foldRR(ch *Chain, L int, r *influence.RRGraph) int {
 		for qi := 0; qi < len(q); qi++ {
 			p := q[qi]
 			node := r.Nodes[p]
-			buckets[h][node]++
+			sc.count(ch, node, int32(h))
 			entries++
 			for _, t := range r.Adj[r.Off[p]:r.Off[p+1]] {
 				if visited[t] {
@@ -234,8 +319,9 @@ func newTopK(k int) *topK {
 
 // offer updates node v's count or inserts it when it outranks the current
 // minimum under the canonical influence order (count descending, ties by
-// smaller node ID). The tie-break makes the retained set independent of map
-// iteration order, so the evaluation is deterministic even on count ties.
+// smaller node ID). Counts only grow, so the retained set is always the
+// top k of every node offered so far under that total order — independent
+// of the order the offers arrive in, even on count ties.
 func (t *topK) offer(v graph.NodeID, cnt int32) {
 	for i, n := range t.nodes {
 		if n == v {

@@ -2,11 +2,12 @@ package core
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"github.com/codsearch/cod/internal/graph"
 	"github.com/codsearch/cod/internal/hier"
@@ -56,12 +57,18 @@ func BuildHimor(ctx context.Context, g *graph.Graph, t *hier.Tree, pool []*influ
 
 	// Stage 1: HFS over Θ RR graphs. For an RR graph rooted at s the tags
 	// form the ancestor chain of leaf(s), so the traversal is exactly the
-	// chain HFS of Algorithm 1 with buckets living on tree vertices.
-	buckets := make([]map[graph.NodeID]int32, t.NumVertices())
+	// chain HFS of Algorithm 1 with buckets living on tree vertices: each
+	// vertex's bucket is the run of node ids that landed on it.
+	occ := make([][]graph.NodeID, t.NumVertices())
 	queues := make([][]int32, 0, 64)
+	var chainVerts []hier.Vertex
+	var visited []bool
 	for _, r := range pool {
 		src := r.Source()
-		chainVerts := t.Ancestors(t.LeafOf(src))
+		chainVerts = chainVerts[:0]
+		for p := t.Parent(t.LeafOf(src)); p != -1; p = t.Parent(p) {
+			chainVerts = append(chainVerts, p)
+		}
 		if len(chainVerts) == 0 {
 			continue // single-node graph
 		}
@@ -71,7 +78,8 @@ func BuildHimor(ctx context.Context, g *graph.Graph, t *hier.Tree, pool []*influ
 			queues = make([][]int32, L)
 		}
 		queues = queues[:L]
-		visited := make([]bool, r.Len())
+		visited = slices.Grow(visited[:0], r.Len())[:r.Len()]
+		clear(visited)
 		visited[0] = true
 		queues[0] = append(queues[0], 0)
 		leafSrc := t.LeafOf(src)
@@ -79,12 +87,8 @@ func BuildHimor(ctx context.Context, g *graph.Graph, t *hier.Tree, pool []*influ
 			q := queues[lev]
 			for qi := 0; qi < len(q); qi++ {
 				p := q[qi]
-				node := r.Nodes[p]
 				vert := chainVerts[lev]
-				if buckets[vert] == nil {
-					buckets[vert] = make(map[graph.NodeID]int32)
-				}
-				buckets[vert][node]++
+				occ[vert] = append(occ[vert], r.Nodes[p])
 				for _, tp := range r.Adj[r.Off[p]:r.Off[p+1]] {
 					if visited[tp] {
 						continue
@@ -108,34 +112,21 @@ func BuildHimor(ctx context.Context, g *graph.Graph, t *hier.Tree, pool []*influ
 
 	// Stage 2: bottom-up merge. Processing vertices deepest-first guarantees
 	// children are folded before parents. cum[v] holds the cumulative counts
-	// of v's subtree; maps are merged small-to-large.
-	cum := make([]map[graph.NodeID]int32, t.NumVertices())
-	type entry struct {
-		node graph.NodeID
-		cnt  int32
-	}
-	var scratch []entry
+	// of v's subtree as (node, count) runs sorted by node: v's own bucket is
+	// sorted and run-length encoded, then merged linearly with its
+	// children's runs. The rank sort below visits every entry of cum[v]
+	// anyway, so the linear merge adds no asymptotic cost.
+	cum := make([][]nodeCount, t.NumVertices())
+	var byRank []nodeCount
 	for _, v := range t.VerticesByDepthDesc() {
 		if t.IsLeaf(v) {
 			continue
 		}
-		merged := buckets[v]
-		buckets[v] = nil
+		merged := runLengths(occ[v])
+		occ[v] = nil
 		for _, c := range t.Children(v) {
-			child := cum[c]
+			merged = mergeCounts(merged, cum[c])
 			cum[c] = nil
-			if child == nil {
-				continue
-			}
-			if merged == nil || len(merged) < len(child) {
-				merged, child = child, merged
-			}
-			for node, cnt := range child {
-				merged[node] += cnt
-			}
-		}
-		if merged == nil {
-			merged = make(map[graph.NodeID]int32)
 		}
 		cum[v] = merged
 		h.nnz[v] = int32(len(merged))
@@ -144,23 +135,78 @@ func BuildHimor(ctx context.Context, g *graph.Graph, t *hier.Tree, pool []*influ
 		// descending, ties by smaller node ID): rank = sorted position, i.e.
 		// the number of nodes ranked ahead. Matching rankOf keeps online and
 		// index-based ranks identical even on count ties.
-		scratch = scratch[:0]
-		for node, cnt := range merged {
-			scratch = append(scratch, entry{node, cnt})
-		}
-		sort.Slice(scratch, func(i, j int) bool {
-			if scratch[i].cnt != scratch[j].cnt {
-				return scratch[i].cnt > scratch[j].cnt
+		byRank = append(byRank[:0], merged...)
+		slices.SortFunc(byRank, func(a, b nodeCount) int {
+			if a.cnt != b.cnt {
+				return cmp.Compare(b.cnt, a.cnt)
 			}
-			return scratch[i].node < scratch[j].node
+			return cmp.Compare(a.node, b.node)
 		})
 		depthV := t.Depth(v)
-		for i, e := range scratch {
+		for i, e := range byRank {
 			idx := (t.Depth(t.LeafOf(e.node)) - 1) - depthV
 			h.rank[e.node][idx] = int32(i)
 		}
 	}
 	return h
+}
+
+// nodeCount pairs a node with an occurrence count: an entry of a HIMOR
+// count run or of the compressed evaluation's per-level buckets.
+type nodeCount struct {
+	node graph.NodeID
+	cnt  int32
+}
+
+// runLengths sorts the node ids of one bucket in place and returns them
+// run-length encoded as (node, count) pairs, ascending by node.
+func runLengths(nodes []graph.NodeID) []nodeCount {
+	slices.Sort(nodes)
+	distinct := 0
+	for i := range nodes {
+		if i == 0 || nodes[i] != nodes[i-1] {
+			distinct++
+		}
+	}
+	out := make([]nodeCount, 0, distinct)
+	for i := 0; i < len(nodes); {
+		j := i + 1
+		for j < len(nodes) && nodes[j] == nodes[i] {
+			j++
+		}
+		out = append(out, nodeCount{nodes[i], int32(j - i)})
+		i = j
+	}
+	return out
+}
+
+// mergeCounts merges two count runs sorted by node into a new one, adding
+// the counts of nodes present in both.
+func mergeCounts(a, b []nodeCount) []nodeCount {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]nodeCount, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].node < b[j].node:
+			out = append(out, a[i])
+			i++
+		case b[j].node < a[i].node:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, nodeCount{a[i].node, a[i].cnt + b[j].cnt})
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // Rank returns rank_C(q) for a community vertex v that contains q: the

@@ -118,8 +118,10 @@ func LoreCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, q graph.NodeID, 
 	}
 	ch := ChainFromTree(t, q)
 	cl := ch.Vertex(best)
+	induce := obs.FromContext(ctx).StartSpan(obs.StageLoreInduce)
 	sub := graph.Induce(g, t.Members(cl))
 	weighted := AttributeWeighted(sub.G, attr, beta)
+	induce.EndItems(sub.G.N())
 	local, err := hac.ClusterCtx(ctx, weighted, linkage)
 	if err != nil {
 		return nil, fmt.Errorf("core: reclustering C_ℓ: %w", err)

@@ -94,12 +94,14 @@ func LorePredCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, q graph.Node
 	}
 	ch := ChainFromTree(t, q)
 	cl := ch.Vertex(best)
+	induce := obs.FromContext(ctx).StartSpan(obs.StageLoreInduce)
 	sub := graph.Induce(g, t.Members(cl))
 	localIn := make([]bool, len(sub.ToParent))
 	for lu, pu := range sub.ToParent {
 		localIn[lu] = in[pu]
 	}
 	weighted := PredWeighted(sub.G, localIn, beta)
+	induce.EndItems(sub.G.N())
 	local, err := hac.ClusterCtx(ctx, weighted, linkage)
 	if err != nil {
 		return nil, fmt.Errorf("core: reclustering C_ℓ: %w", err)

@@ -52,7 +52,7 @@ func NewStagedEval(ch *Chain, k int, sc *EvalScratch) *StagedEval {
 	if sc == nil {
 		sc = NewEvalScratch()
 	}
-	sc.prepare(ch.Len())
+	sc.prepare(ch.Len(), len(ch.level))
 	return &StagedEval{ch: ch, k: k, sc: sc, top: newTopK(k),
 		margins: make([]LevelMargin, ch.Len())}
 }
@@ -88,38 +88,28 @@ func (se *StagedEval) Fold(ctx context.Context, rrs []*influence.RRGraph) error 
 // Sweep runs the incremental top-k sweep over the folded pool, returning
 // the evaluation result as of this stage and the per-level margins (valid
 // until the next Sweep). The decision at every level — and therefore the
-// result — is identical to CompressedEvaluate over the same folded pool:
-// the sweep tracks the k largest non-q nodes instead of the k largest
-// overall, which changes the boundary bookkeeping but not whether fewer
-// than k nodes rank ahead of q.
+// result — is identical to CompressedEvaluate over the same folded pool.
 func (se *StagedEval) Sweep(ctx context.Context) (EvalResult, []LevelMargin) {
 	sweep := obs.FromContext(ctx).StartSpan(obs.StageTopKSweep)
 	sc, ch, q := se.sc, se.ch, se.ch.q
 	L := ch.Len()
-	clear(sc.tau)
-	tau := sc.tau
+	sc.groupByLevel(ch, L)
 	se.top.reset()
 	best := -1
 	for h := 0; h < L; h++ {
-		for v, cnt := range sc.buckets[h] {
-			nv := tau[v] + cnt
-			tau[v] = nv
-			if v != q {
-				se.top.offer(v, nv)
-			}
-		}
-		ahead := se.top.aheadOf(q, tau[q])
+		sc.sweepLevel(h, se.top, q)
+		ahead := se.top.aheadOf(q, sc.tau[q])
 		sc.ranks[h] = int32(ahead) + 1
 		sc.topk[h] = ahead < se.k
 		m := &se.margins[h]
-		m.QCount = tau[q]
+		m.QCount = sc.tau[q]
 		m.Boundary = se.top.boundary()
 		m.InTopK = sc.topk[h]
 		if m.InTopK {
 			best = h
 		}
 	}
-	sweep.EndItems(len(tau))
-	return EvalResult{Level: best, QCount: int(tau[q]), Buckets: se.entries,
+	sweep.EndItems(len(sc.touched))
+	return EvalResult{Level: best, QCount: int(sc.tau[q]), Buckets: se.entries,
 		TopK: sc.topk[:L], Ranks: sc.ranks[:L]}, se.margins
 }

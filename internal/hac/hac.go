@@ -74,33 +74,38 @@ func ClusterCtx(ctx context.Context, g *graph.Graph, linkage Linkage) (*hier.Tre
 		return hier.New(1, parent[:1])
 	}
 
+	// The merge span covers the adjacency build too and flushes even on
+	// cancellation, counting the internal vertices created so far (merges
+	// completed).
+	span := obs.FromContext(ctx).StartSpan(obs.StageHACMerge)
 	c := &clusterer{
 		g:       g,
 		linkage: linkage,
 		parent:  parent,
 		size:    make([]int32, total),
-		nbr:     make([]map[int32]float64, total),
+		nbr:     make([][]link, total),
+		stale:   make([]int32, total),
 		active:  make([]bool, total),
 		next:    int32(n),
 	}
+	// The leaves' runs are capacity-capped windows of one flat array, so an
+	// append to one run reallocates instead of overwriting the next.
+	links := make([]link, 0, 2*g.M())
 	for v := 0; v < n; v++ {
 		c.size[v] = 1
 		c.active[v] = true
-		m := make(map[int32]float64, g.Degree(graph.NodeID(v)))
 		ws := g.Weights(graph.NodeID(v))
+		start := len(links)
 		for i, u := range g.Neighbors(graph.NodeID(v)) {
 			w := 1.0
 			if ws != nil {
 				w = ws[i]
 			}
-			m[int32(u)] = w
+			links = append(links, link{to: int32(u), st: w})
 		}
-		c.nbr[v] = m
+		c.nbr[v] = links[start:len(links):len(links)]
 	}
 
-	// The merge span flushes even on cancellation, counting the internal
-	// vertices created so far (merges completed).
-	span := obs.FromContext(ctx).StartSpan(obs.StageHACMerge)
 	roots, err := c.run(ctx)
 	if err != nil {
 		span.EndItems(int(c.next) - n)
@@ -138,9 +143,22 @@ type clusterer struct {
 	linkage Linkage
 	parent  []hier.Vertex
 	size    []int32
-	nbr     []map[int32]float64 // active-cluster adjacency: neighbor -> linkage state
-	active  []bool
-	next    int32 // next internal vertex id
+	// nbr[a] is a's adjacency run, sorted by neighbour id. Entries whose
+	// neighbour has since been merged (is inactive) are stale: lookups skip
+	// them, and stale[a] counts them so the run is compacted once they make
+	// up more than half of it.
+	nbr    [][]link
+	stale  []int32
+	buf    []link // newVertex's merge buffer
+	active []bool
+	next   int32 // next internal vertex id
+}
+
+// link is one adjacency entry: the neighbour cluster and the linkage state
+// between the two clusters.
+type link struct {
+	to int32
+	st float64
 }
 
 // sim converts the stored linkage state between clusters a and b into a
@@ -157,8 +175,12 @@ func (c *clusterer) sim(a, b int32, state float64) float64 {
 // active neighbors.
 func (c *clusterer) nn(a int32, prefer int32) (best int32, bestSim float64, ok bool) {
 	best = -1
-	for b, st := range c.nbr[a] {
-		s := c.sim(a, b, st)
+	for _, l := range c.nbr[a] {
+		b := l.to
+		if !c.active[b] {
+			continue
+		}
+		s := c.sim(a, b, l.st)
 		switch {
 		case best == -1, s > bestSim:
 			best, bestSim = b, s
@@ -236,8 +258,11 @@ func (c *clusterer) run(ctx context.Context) ([]int32, error) {
 	return roots, nil
 }
 
-// newVertex merges clusters a and b into a fresh internal vertex, updating
-// adjacency with small-to-large map merging, and returns the new vertex id.
+// newVertex merges clusters a and b into a fresh internal vertex and
+// returns its id. nv's run is the merge-join of a's and b's runs over their
+// active neighbours; each such neighbour x gets (nv, st) appended, which
+// keeps x's run sorted because nv is the largest id so far, and its entries
+// for a and b turn stale.
 func (c *clusterer) newVertex(a, b int32) int32 {
 	nv := c.next
 	c.next++
@@ -247,43 +272,83 @@ func (c *clusterer) newVertex(a, b int32) int32 {
 	c.active[a], c.active[b] = false, false
 	c.active[nv] = true
 
-	merged, other := c.nbr[a], c.nbr[b]
-	if len(other) > len(merged) {
-		merged, other = other, merged
-	}
-	delete(merged, a)
-	delete(merged, b)
-	delete(other, a)
-	delete(other, b)
-	switch c.linkage {
-	case UnweightedAverage:
-		// States are S-values (summed inter-cluster edge weights): they add.
-		for x, st := range other {
-			merged[x] += st
-		}
-	case WeightedAverage:
-		// sim(N,x) = (sim(a,x) + sim(b,x)) / 2, absent sides contribute 0.
-		for x := range merged {
-			merged[x] /= 2
-		}
-		for x, st := range other {
-			merged[x] += st / 2
-		}
-	case Single:
-		for x, st := range other {
-			if cur, ok := merged[x]; !ok || st > cur {
-				merged[x] = st
-			}
-		}
-	}
-	c.nbr[nv] = merged
+	ra, rb := c.nbr[a], c.nbr[b]
 	c.nbr[a], c.nbr[b] = nil, nil
-	// Rewire the neighbors' maps to point at nv with the symmetric state.
-	for x, st := range merged {
-		mx := c.nbr[x]
-		delete(mx, a)
-		delete(mx, b)
-		mx[nv] = st
+	merged := c.buf[:0]
+	// emit records nv's state with x, which appears in `sides` of the two
+	// runs, on both ends of the new edge.
+	emit := func(x int32, st float64, sides int32) {
+		merged = append(merged, link{x, st})
+		rx := c.nbr[x]
+		c.stale[x] += sides
+		// Compact once stale entries are more than half the run, and
+		// before an append would grow a run that holds any.
+		if 2*int(c.stale[x]) > len(rx) || (len(rx) == cap(rx) && c.stale[x] > 0) {
+			rx = c.compact(rx)
+			c.stale[x] = 0
+		}
+		c.nbr[x] = append(rx, link{nv, st})
 	}
+	// one converts the state of a neighbour present on one side only.
+	one := func(st float64) float64 {
+		if c.linkage == WeightedAverage {
+			return st / 2
+		}
+		return st
+	}
+	i, j := 0, 0
+	for i < len(ra) || j < len(rb) {
+		switch {
+		case j == len(rb) || (i < len(ra) && ra[i].to < rb[j].to):
+			if x := ra[i]; c.active[x.to] {
+				emit(x.to, one(x.st), 1)
+			}
+			i++
+		case i == len(ra) || rb[j].to < ra[i].to:
+			if x := rb[j]; c.active[x.to] {
+				emit(x.to, one(x.st), 1)
+			}
+			j++
+		default: // the same neighbour on both sides
+			x, sa, sb := ra[i].to, ra[i].st, rb[j].st
+			i++
+			j++
+			if !c.active[x] {
+				continue
+			}
+			var st float64
+			switch c.linkage {
+			case UnweightedAverage:
+				// States are S-values (summed inter-cluster edge weights): they add.
+				st = sa + sb
+			case WeightedAverage:
+				// sim(N,x) = (sim(a,x) + sim(b,x)) / 2.
+				st = sa/2 + sb/2
+			case Single:
+				st = max(sa, sb)
+			}
+			emit(x, st, 2)
+		}
+	}
+	c.buf = merged
+	// Reuse the larger dead run's array when the merged run fits.
+	if cap(ra) < cap(rb) {
+		ra = rb
+	}
+	if cap(ra) < len(merged) {
+		ra = make([]link, 0, len(merged)+len(merged)/2)
+	}
+	c.nbr[nv] = append(ra[:0], merged...)
 	return nv
+}
+
+// compact drops r's stale entries in place, keeping the order.
+func (c *clusterer) compact(r []link) []link {
+	out := r[:0]
+	for _, l := range r {
+		if c.active[l.to] {
+			out = append(out, l)
+		}
+	}
+	return out
 }

@@ -1,6 +1,8 @@
 package hier
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -180,32 +182,39 @@ func TestSingleLeafTree(t *testing.T) {
 
 // Property: for random binary trees, LCA via sparse table agrees with naive
 // parent-climbing.
+// randomDendrogram builds a random hierarchy over n leaves by repeatedly
+// merging between 2 and maxArity random roots under a fresh vertex.
+func randomDendrogram(rng *rand.Rand, n, maxArity int) (*Tree, error) {
+	parent := make([]Vertex, n, 2*n-1)
+	for i := range parent {
+		parent[i] = -1
+	}
+	roots := make([]Vertex, n)
+	for i := range roots {
+		roots[i] = Vertex(i)
+	}
+	for len(roots) > 1 {
+		arity := 2 + rng.IntN(maxArity-1)
+		if arity > len(roots) {
+			arity = len(roots)
+		}
+		next := Vertex(len(parent))
+		parent = append(parent, -1)
+		for ; arity > 0; arity-- {
+			i := rng.IntN(len(roots))
+			parent[roots[i]] = next
+			roots[i] = roots[len(roots)-1]
+			roots = roots[:len(roots)-1]
+		}
+		roots = append(roots, next)
+	}
+	return New(n, parent)
+}
+
 func TestLCAAgainstNaive(t *testing.T) {
 	build := func(seed uint16) (*Tree, bool) {
 		rng := graph.NewRand(uint64(seed))
-		n := 2 + rng.IntN(40)
-		parent := make([]Vertex, 2*n-1)
-		for i := range parent {
-			parent[i] = -1
-		}
-		// random agglomeration: repeatedly merge two roots
-		roots := make([]Vertex, n)
-		for i := range roots {
-			roots[i] = Vertex(i)
-		}
-		next := Vertex(n)
-		for len(roots) > 1 {
-			i := rng.IntN(len(roots))
-			a := roots[i]
-			roots[i] = roots[len(roots)-1]
-			roots = roots[:len(roots)-1]
-			j := rng.IntN(len(roots))
-			b := roots[j]
-			parent[a], parent[b] = next, next
-			roots[j] = next
-			next++
-		}
-		tr, err := New(n, parent)
+		tr, err := randomDendrogram(rng, 2+rng.IntN(40), 2)
 		return tr, err == nil
 	}
 	naiveLCA := func(tr *Tree, a, b Vertex) Vertex {
@@ -237,5 +246,35 @@ func TestLCAAgainstNaive(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMembersAgainstBruteForce checks Members on every vertex of random
+// dendrograms (binary and wider merges) against collecting the subtree's
+// leaves by recursion and sorting them.
+func TestMembersAgainstBruteForce(t *testing.T) {
+	var leaves func(tr *Tree, v Vertex, out []graph.NodeID) []graph.NodeID
+	leaves = func(tr *Tree, v Vertex, out []graph.NodeID) []graph.NodeID {
+		if tr.IsLeaf(v) {
+			return append(out, tr.NodeOf(v))
+		}
+		for _, c := range tr.Children(v) {
+			out = leaves(tr, c, out)
+		}
+		return out
+	}
+	for seed := uint64(0); seed < 30; seed++ {
+		rng := graph.NewRand(seed)
+		tr, err := randomDendrogram(rng, 1+rng.IntN(300), 2+int(seed%3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := Vertex(0); int(v) < tr.NumVertices(); v++ {
+			want := leaves(tr, v, nil)
+			slices.Sort(want)
+			if got := tr.Members(v); !slices.Equal(got, want) {
+				t.Fatalf("seed=%d vertex=%d: Members = %v, want %v", seed, v, got, want)
+			}
+		}
 	}
 }

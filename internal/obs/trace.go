@@ -19,6 +19,9 @@ const (
 	StageHACMerge Stage = iota
 	// StageLoreScore is LORE's reclustering-score sweep over H(q).
 	StageLoreScore
+	// StageLoreInduce is LORE's materialization of C_ℓ: listing its
+	// members, inducing its subgraph and applying the attribute weights.
+	StageLoreInduce
 	// StageRRSample is RR-graph sampling: shared batches, parallel offline
 	// pools, and the restricted per-query loop.
 	StageRRSample
@@ -39,6 +42,7 @@ const (
 var stageNames = [NumStages]string{
 	StageHACMerge:    "hac_merge",
 	StageLoreScore:   "lore_score",
+	StageLoreInduce:  "lore_induce",
 	StageRRSample:    "rr_sample",
 	StageRRInduce:    "rr_induce",
 	StageTopKSweep:   "topk_sweep",

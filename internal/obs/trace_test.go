@@ -14,6 +14,7 @@ func TestStageString(t *testing.T) {
 	want := map[Stage]string{
 		StageHACMerge:    "hac_merge",
 		StageLoreScore:   "lore_score",
+		StageLoreInduce:  "lore_induce",
 		StageRRSample:    "rr_sample",
 		StageRRInduce:    "rr_induce",
 		StageTopKSweep:   "topk_sweep",
